@@ -37,23 +37,30 @@ print("weight grad:    ", quant.ste_weight_grad(upstream_w, w))
 upstream_x = np.ones_like(x)
 print("activation grad:", quant.ste_activation_grad(upstream_x, x))
 
-# The fused binary convolution quantizes both operands before the dot
-# products, so the output is built from {0,1} x {-s,+s} terms only.
+# A binary convolution quantizes both operands before the dot products,
+# so the output is built from {0,1} x {-s,+s} terms only. In a network
+# an activation unit and a binarized conv unit do this in sequence.
 rng = np.random.default_rng(0)
 images = rng.uniform(0, 1, size=(1, 2, 5, 5))
 kernels = rng.standard_normal((3, 2, 3, 3)) * 0.2
-out, ctx = quant.binary_conv2d_forward(images, kernels)
+qimages = quant.binarize_activations(images)
+qkernels = quant.binarize_weights(kernels)
+out, ctx = ops.conv2d_forward(qimages.values, qkernels.values)
 print()
 print("binary conv output shape:", out.shape)
 print("first few distinct output values:", np.unique(np.round(out, 4))[:5])
 
-gx, gw = quant.binary_conv2d_backward(ctx, np.ones_like(out))
+# Backward: the conv gradients flow through the two estimators, the
+# identity for the weights and the clip-window mask for the activations.
+gq, gw_b = ops.conv2d_backward(ctx, np.ones_like(out))
+gx = quant.ste_activation_grad(gq, images)
+gw = quant.ste_weight_grad(gw_b, kernels)
 print("grad shapes:", gx.shape, gw.shape)
 
-# When the inputs already sit at {0,1} the binary conv agrees exactly
-# with a plain float conv applied to the quantized operands.
+# Inputs already at {0,1} pass the activation quantizer unchanged, so
+# the binary conv equals a float conv on the binarized weights.
 hard = (images > 0.5).astype(np.float64)
-plain = ops.conv2d(hard, quant.binarize_weights(kernels).values)
+plain = ops.conv2d(hard, qkernels.values)
 print()
 print("matches float conv on hard inputs:",
-      np.allclose(quant.binary_conv2d_forward(hard, kernels)[0], plain))
+      np.allclose(ops.conv2d(quant.binarize_activations(hard).values, qkernels.values), plain))

@@ -2,8 +2,8 @@
 
 The pieces compose in this order: a template (`templates`) fixes a model
 family; an expansion code (`space`) picks concrete channel widths;
-`net.instantiate` builds a trainable network whose binary layers live on
-the quantizers in `quant` and the kernels in `ops`; `cost` prices any
+`net.instantiate` builds a trainable network whose binary layers apply
+the quantizers in `quant` ahead of the kernels in `ops`; `cost` prices any
 (template, code) pair; `search.evolve` hunts for codes with the best
 accuracy/cost trade-off; `runner`, `config`, and `cli` wrap the whole
 loop into reproducible runs on disk.
@@ -36,7 +36,6 @@ from .quant import (
     QuantizedActivations,
     binarize_activations,
     binarize_weights,
-    binary_conv2d,
     ste_activation_grad,
     ste_weight_grad,
 )

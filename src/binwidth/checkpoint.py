@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError
-from .space import ExpansionCode, layer_geometry, uniform_code, validate_code
+from .space import ExpansionCode, layer_geometry, ratio_list, uniform_code, validate_code
 from .templates import NetworkTemplate
 
 MAGIC = b"BNASCKPT"
@@ -60,10 +60,6 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _ratio_list(code: ExpansionCode) -> list:
-    return [int(r) if float(r).is_integer() else float(r) for r in code]
-
-
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(ckpt.arrays))]
     for name, arr in ckpt.arrays.items():
@@ -78,7 +74,7 @@ def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     meta = json.dumps(
-        {"template": ckpt.template, "ratios": _ratio_list(ckpt.code), "seed": ckpt.seed},
+        {"template": ckpt.template, "ratios": ratio_list(ckpt.code), "seed": ckpt.seed},
         sort_keys=True,
     ).encode("utf-8")
     parts.append(struct.pack("<I", len(meta)))

@@ -147,11 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flops", help="cost report for a template and code")
     p.add_argument("--template", required=True)
     _add_code_args(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--binary", action="store_true", default=True,
-                       help="price binarized layers at 1/64 (default)")
-    group.add_argument("--full-precision", action="store_true",
-                       help="price every layer at full precision")
+    p.add_argument("--full-precision", action="store_true",
+                   help="price every layer at full precision (default: binarized layers at 1/64)")
     p.add_argument("--out", help="also write the CSV row to this file")
     p.set_defaults(func=_cmd_flops)
 

@@ -1,32 +1,90 @@
 """Run configuration: one JSON file describing an end-to-end run.
 
-Every section rejects unknown keys so a typo in a hyper-parameter name
-fails loudly instead of silently training with a default.
+Each section is a dataclass: its keys are the field names, its values
+must have the JSON type of the field's annotation, and absent keys take
+the field defaults. Every section rejects unknown keys so a typo in a
+hyper-parameter name fails loudly instead of silently training with a
+default, and a value of the wrong type fails naming its dotted key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 from .data import Dataset, parse_cifar10_bin, parse_mnist_idx, stratified_split
 from .errors import ConfigError
 from .search import SearchConfig
 from .templates import TEMPLATES
-from .train import CIFAR_SCHEDULE, LrSchedule, TrainConfig
+from .train import LrSchedule, TrainConfig
+
+# Field name -> JSON key, where the field name had to dodge a keyword.
+_JSON_KEYS = {"lambda_": "lambda"}
 
 
-def _take(section: dict, allowed: dict, where: str) -> dict:
-    """Merge user keys over defaults; unknown keys are errors."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field type -> (the JSON values it takes, their test, the conversion).
+_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool), bool),
+    int: ("an integer", _is_int, int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    tuple[int, ...]: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple),
+}
+
+
+def _value(value, hint, where: str, default):
+    """`value` checked against the field type `hint`. A dataclass type
+    parses `value` as a section whose absent keys come from `default`."""
+    options = typing.get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = (t for t in options if t is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return _section(hint, value, where, default)
+    expected, check, convert = _TYPES[hint]
+    if not check(value):
+        raise ConfigError(f"'{where}' must be {expected}, got {json.dumps(value)}")
+    return convert(value)
+
+
+def _section(cls, section, where: str, base=dataclasses.MISSING, derived=None):
+    """Build dataclass `cls` from a JSON object.
+
+    An absent key takes, in order: `derived[field](values parsed so far)`,
+    the field of `base` (an instance of `cls`), the field default. A field
+    with none of these is required.
+    """
+    name = where or "run config"
     if not isinstance(section, dict):
-        raise ConfigError(f"'{where}' must be an object, got {type(section).__name__}")
-    unknown = sorted(set(section) - set(allowed))
+        raise ConfigError(f"'{name}' must be an object, got {type(section).__name__}")
+    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in '{where}'; allowed: {sorted(allowed)}")
-    merged = dict(allowed)
-    merged.update(section)
-    return merged
+        raise ConfigError(f"unknown key(s) {unknown} in '{name}'; allowed: {sorted(fields)}")
+    hints = _HINTS[cls]
+    values: dict = {}
+    for key, f in fields.items():
+        if derived and f.name in derived:
+            default = derived[f.name](values)
+        elif base is not dataclasses.MISSING:
+            default = getattr(base, f.name)
+        else:
+            default = f.default
+        if key in section:
+            values[f.name] = _value(section[key], hints[f.name], f"{where}.{key}" if where else key, default)
+        elif default is dataclasses.MISSING:
+            raise ConfigError(f"{name} needs '{key}'")
+        else:
+            values[f.name] = default
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -44,30 +102,35 @@ class DatasetConfig:
     proxy_val_per_class: int = 100
     subset_seed: int = 0
 
-    def _require(self, *names: str) -> None:
+    def __post_init__(self):
+        if self.kind not in ("idx", "records"):
+            raise ConfigError(f"dataset.kind must be 'idx' or 'records', got {self.kind!r}")
+
+    def _read(self, *names: str) -> list[bytes]:
+        """Contents of the files named by these path fields."""
+        contents = []
         for name in names:
             path = getattr(self, name)
             if path is None:
                 raise ConfigError(f"dataset kind '{self.kind}' needs '{name}'")
             if not os.path.exists(path):
                 raise ConfigError(f"dataset file '{path}' ({name}) does not exist")
+            with open(path, "rb") as f:
+                contents.append(f.read())
+        return contents
 
     def load_train(self) -> Dataset:
         if self.kind == "idx":
-            self._require("train_images", "train_labels")
-            return parse_mnist_idx(_read(self.train_images), _read(self.train_labels), split="train")
-        self._require("train")
-        return parse_cifar10_bin(_read(self.train), split="train")
+            return parse_mnist_idx(*self._read("train_images", "train_labels"), split="train")
+        return parse_cifar10_bin(*self._read("train"), split="train")
 
     def has_test(self) -> bool:
         return (self.test_images is not None) if self.kind == "idx" else (self.test is not None)
 
     def load_test(self) -> Dataset:
         if self.kind == "idx":
-            self._require("test_images", "test_labels")
-            return parse_mnist_idx(_read(self.test_images), _read(self.test_labels), split="test")
-        self._require("test")
-        return parse_cifar10_bin(_read(self.test), split="test")
+            return parse_mnist_idx(*self._read("test_images", "test_labels"), split="test")
+        return parse_cifar10_bin(*self._read("test"), split="test")
 
     def proxy_splits(self) -> tuple[Dataset, Dataset]:
         """Disjoint stratified train/val pools for candidate scoring."""
@@ -76,150 +139,33 @@ class DatasetConfig:
         )
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     template: str
     dataset: DatasetConfig
-    search: SearchConfig
+    search: SearchConfig = SearchConfig()
     proxy_train: TrainConfig
-    full_train: TrainConfig
-    supernet_init: bool
+    full_train: TrainConfig = TrainConfig(epochs=200, augment=True)
+    supernet_init: bool = False
     output_dir: str
 
-
-_SCHEDULE_DEFAULTS = {
-    "base_lr": CIFAR_SCHEDULE.base_lr,
-    "decay_epochs": list(CIFAR_SCHEDULE.decay_epochs),
-    "decay_factor": CIFAR_SCHEDULE.decay_factor,
-}
-
-
-def _schedule(section: dict, where: str) -> LrSchedule:
-    got = _take(section, _SCHEDULE_DEFAULTS, where)
-    return LrSchedule(
-        base_lr=float(got["base_lr"]),
-        decay_epochs=tuple(int(e) for e in got["decay_epochs"]),
-        decay_factor=float(got["decay_factor"]),
-    )
+    def __post_init__(self):
+        if self.template not in TEMPLATES:
+            raise ConfigError(f"template must be one of {sorted(TEMPLATES)}, got {self.template!r}")
+        if not self.output_dir:
+            raise ConfigError("run config needs an 'output_dir'")
 
 
-def _train_config(section: dict, where: str, default_epochs: int, default_augment: bool) -> TrainConfig:
-    defaults = {
-        "epochs": default_epochs,
-        "batch_size": 128,
-        "momentum": 0.9,
-        "weight_decay": 1e-4,
-        "schedule": _SCHEDULE_DEFAULTS,
-        "seed": 0,
-        "augment": default_augment,
-    }
-    got = _take(section, defaults, where)
-    return TrainConfig(
-        epochs=int(got["epochs"]),
-        batch_size=int(got["batch_size"]),
-        momentum=float(got["momentum"]),
-        weight_decay=float(got["weight_decay"]),
-        schedule=_schedule(got["schedule"], where + ".schedule"),
-        seed=int(got["seed"]),
-        augment=bool(got["augment"]),
-    )
-
-
-def _search_config(section: dict) -> SearchConfig:
-    defaults = {
-        "population_size": 32,
-        "generations": 50,
-        "lambda": 4.0,
-        "proxy_epochs": 10,
-        "tournament_size": 2,
-        "crossover_rate": 0.9,
-        "mutation_rate": None,
-        "elitism_count": 2,
-        "master_seed": 0,
-        "inject_anchors": True,
-    }
-    got = _take(section, defaults, "search")
-    return SearchConfig(
-        population_size=int(got["population_size"]),
-        generations=int(got["generations"]),
-        lambda_=float(got["lambda"]),
-        proxy_epochs=int(got["proxy_epochs"]),
-        tournament_size=int(got["tournament_size"]),
-        crossover_rate=float(got["crossover_rate"]),
-        mutation_rate=None if got["mutation_rate"] is None else float(got["mutation_rate"]),
-        elitism_count=int(got["elitism_count"]),
-        master_seed=int(got["master_seed"]),
-        inject_anchors=bool(got["inject_anchors"]),
-    )
-
-
-def _dataset_config(section: dict) -> DatasetConfig:
-    defaults = {
-        "kind": None,
-        "train_images": None,
-        "train_labels": None,
-        "test_images": None,
-        "test_labels": None,
-        "train": None,
-        "test": None,
-        "proxy_train_per_class": 500,
-        "proxy_val_per_class": 100,
-        "subset_seed": 0,
-    }
-    got = _take(section, defaults, "dataset")
-    kind = got["kind"]
-    if kind not in ("idx", "records"):
-        raise ConfigError(f"dataset.kind must be 'idx' or 'records', got {kind!r}")
-    return DatasetConfig(
-        kind=kind,
-        train_images=got["train_images"],
-        train_labels=got["train_labels"],
-        test_images=got["test_images"],
-        test_labels=got["test_labels"],
-        train=got["train"],
-        test=got["test"],
-        proxy_train_per_class=int(got["proxy_train_per_class"]),
-        proxy_val_per_class=int(got["proxy_val_per_class"]),
-        subset_seed=int(got["subset_seed"]),
-    )
+# Resolved field types of each section. get_type_hints evaluates the string
+# annotations afresh on every call, at about 0.1 ms a class.
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (RunConfig, DatasetConfig, SearchConfig, TrainConfig, LrSchedule)}
 
 
 def parse_run_config(payload: dict) -> RunConfig:
-    defaults = {
-        "template": None,
-        "dataset": None,
-        "search": {},
-        "proxy_train": {},
-        "full_train": {},
-        "supernet_init": False,
-        "output_dir": None,
-    }
-    got = _take(payload, defaults, "run config")
-    template = got["template"]
-    if template not in TEMPLATES:
-        raise ConfigError(f"template must be one of {sorted(TEMPLATES)}, got {template!r}")
-    if got["dataset"] is None:
-        raise ConfigError("run config needs a 'dataset' section")
-    if not got["output_dir"]:
-        raise ConfigError("run config needs an 'output_dir'")
-    search = _search_config(got["search"])
-    proxy_train = _train_config(got["proxy_train"], "proxy_train", default_epochs=search.proxy_epochs,
-                                default_augment=False)
-    full_train = _train_config(got["full_train"], "full_train", default_epochs=200, default_augment=True)
-    return RunConfig(
-        template=str(template),
-        dataset=_dataset_config(got["dataset"]),
-        search=search,
-        proxy_train=proxy_train,
-        full_train=full_train,
-        supernet_init=bool(got["supernet_init"]),
-        output_dir=str(got["output_dir"]),
-    )
+    # Proxy training runs the search's proxy_epochs unless told otherwise.
+    return _section(RunConfig, payload, "", derived={
+        "proxy_train": lambda got: TrainConfig(epochs=got["search"].proxy_epochs),
+    })
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -38,38 +38,20 @@ class CostReport:
     weight_bits: int
 
 
-def _layer_costs(template: NetworkTemplate, code: Iterable[float], binary: bool) -> list[LayerCost]:
-    costs = []
+def _weighted(template: NetworkTemplate, code: ExpansionCode):
+    """(spec, MACs, weight count) of each conv/fc layer, in execution order."""
     for geom in layer_geometry(template, code):
         spec = geom.spec
         if spec.kind == "conv":
-            macs = geom.in_ch * geom.out_ch * spec.kernel[0] * spec.kernel[1] * geom.h_out * geom.w_out
+            weights = geom.in_ch * geom.out_ch * spec.kernel[0] * spec.kernel[1]
+            yield spec, weights * geom.h_out * geom.w_out, weights
         elif spec.kind == "fc":
-            macs = geom.in_features * geom.out_ch
-        else:
-            continue
-        flops = macs / BINARY_SPEEDUP if binary and spec.binarized else float(macs)
-        costs.append(LayerCost(spec.name, spec.kind, binary and spec.binarized, macs, flops))
-    return costs
+            weights = geom.in_features * geom.out_ch
+            yield spec, weights, weights
 
 
-def _weight_bits(template: NetworkTemplate, code: Iterable[float], binary: bool) -> int:
-    """Storage for conv/fc weight tensors; 1-bit weights carry one 32-bit
-    scale per layer. Biases and norm parameters are not modeled."""
-    bits = 0
-    for geom in layer_geometry(template, code):
-        spec = geom.spec
-        if spec.kind == "conv":
-            count = geom.out_ch * geom.in_ch * spec.kernel[0] * spec.kernel[1]
-        elif spec.kind == "fc":
-            count = geom.in_features * geom.out_ch
-        else:
-            continue
-        if binary and spec.binarized:
-            bits += count + 32
-        else:
-            bits += 32 * count
-    return bits
+def _flops(macs: int, binarized: bool) -> float:
+    return macs / BINARY_SPEEDUP if binarized else float(macs)
 
 
 def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = True) -> CostReport:
@@ -78,14 +60,21 @@ def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = 
     `binary=False` prices the same widths with every layer at full
     precision. flops_norm is always relative to the binary uniform-1x
     network, and speedup to the full-precision uniform-1x network, so the
-    two ratios stay comparable across codes.
+    two ratios stay comparable across codes. weight_bits is the storage
+    for conv/fc weight tensors; 1-bit weights carry one 32-bit scale per
+    layer. Biases and norm parameters are not modeled.
     """
     code = validate_code(code, template.n_genes)
-    layers = _layer_costs(template, code, binary)
+    layers = []
+    weight_bits = 0
+    for spec, macs, weights in _weighted(template, code):
+        one_bit = binary and spec.binarized
+        layers.append(LayerCost(spec.name, spec.kind, one_bit, macs, _flops(macs, one_bit)))
+        weight_bits += weights + 32 if one_bit else 32 * weights
     total = sum(layer.flops for layer in layers)
-    base = uniform_code(1, template.n_genes)
-    base_binary = sum(layer.flops for layer in _layer_costs(template, base, binary=True))
-    base_full = sum(layer.flops for layer in _layer_costs(template, base, binary=False))
+    base = list(_weighted(template, uniform_code(1, template.n_genes)))
+    base_binary = sum(_flops(macs, spec.binarized) for spec, macs, _ in base)
+    base_full = sum(float(macs) for _, macs, _ in base)
     return CostReport(
         template=template.name,
         code=code,
@@ -94,5 +83,5 @@ def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = 
         flops=total,
         flops_norm=total / base_binary,
         speedup=base_full / total,
-        weight_bits=_weight_bits(template, code, binary),
+        weight_bits=weight_bits,
     )

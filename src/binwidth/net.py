@@ -5,7 +5,9 @@ batch-norm running stats, plus an execution list of layer units. Each
 unit keeps just enough context from its forward pass to run the matching
 backward pass. Layers marked binarized quantize their weights on every
 forward; activation quantization is an explicit layer in the templates,
-so the data entering a binary conv/fc is already 1-bit.
+so the data entering a binary conv/fc is already 1-bit. These units are
+the package's only binary conv/fc path: training runs them, and the
+straight-through gradient checks run against them.
 
 Convs never carry a bias (a norm layer always follows); fc layers carry
 one only when no norm layer follows them.
@@ -19,7 +21,7 @@ from . import ops
 from .errors import ShapeError
 from .quant import binarize_activations, binarize_weights, ste_activation_grad, ste_weight_grad
 from .seeding import rng_from
-from .space import ExpansionCode, layer_geometry, resolve_channels, validate_code
+from .space import ExpansionCode, layer_geometry, validate_code
 from .templates import BlockSpec, LayerSpec, NetworkTemplate
 
 
@@ -180,11 +182,11 @@ class Network:
         self.template = template
         self.code: ExpansionCode = validate_code(code, template.n_genes)
         self.seed = int(seed)
-        self.channels = resolve_channels(template, self.code)
+        geoms = {g.spec.name: g for g in layer_geometry(template, self.code)}
+        self.channels = {name: (g.in_ch, g.out_ch) for name, g in geoms.items()}
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        geoms = {g.spec.name: g for g in layer_geometry(template, self.code)}
         self.units = []
         layers = template.layers
         for i, spec in enumerate(layers):

@@ -5,6 +5,9 @@ Weights binarize to sign(w) scaled by the layer-wide mean absolute value
 with halves rounding away from zero. The backward rules are the
 straight-through estimators: identity for the weight quantizer, the
 clip-window indicator for the activation quantizer.
+
+There is no fused binary conv: `net` applies these functions in its own
+units, an activation unit ahead of each binarized conv or fc unit.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .ops import conv2d_forward
 
 
 @dataclass
@@ -67,27 +69,3 @@ def ste_activation_grad(upstream: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"upstream shape {upstream.shape} != input shape {x.shape}")
     mask = (x >= 0.0) & (x <= 1.0)
     return np.where(mask, upstream, np.zeros((), dtype=upstream.dtype))
-
-
-def binary_conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
-    """conv2d over quantized activations and binarized weights."""
-    qa = binarize_activations(x)
-    bw = binarize_weights(w)
-    out, conv_ctx = conv2d_forward(qa.values, bw.values, stride, pad)
-    return out, (conv_ctx, qa.pass_mask, x.shape)
-
-
-def binary_conv2d_backward(ctx, gout: np.ndarray):
-    """Compose the conv backward with the two STE rules."""
-    from .ops import conv2d_backward
-
-    conv_ctx, pass_mask, x_shape = ctx
-    gx_q, gw_b = conv2d_backward(conv_ctx, gout)
-    gw = gw_b  # identity STE for the weight quantizer
-    gx = np.where(pass_mask, gx_q, np.zeros((), dtype=gx_q.dtype))
-    return gx, gw
-
-
-def binary_conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    out, _ = binary_conv2d_forward(x, w, stride, pad)
-    return out

@@ -14,14 +14,10 @@ import os
 from .checkpoint import atomic_write_text
 from .cost import count_cost
 from .search import SearchLogRecord
-from .space import layer_geometry, read_code_file, uniform_code
+from .space import layer_geometry, ratio_list, read_code_file, uniform_code
 from .templates import NetworkTemplate, get_template
 
 UNIFORM_BASELINES = (1.0, 2.0, 3.0, 4.0)
-
-
-def _code_label(code) -> str:
-    return " ".join(str(int(r)) if float(r).is_integer() else str(r) for r in code)
 
 
 def fitness_csv(records: list[SearchLogRecord]) -> str:
@@ -72,7 +68,7 @@ def flops_csv(template: NetworkTemplate, code) -> str:
     for label, c, binary in rows:
         report = count_cost(template, c, binary=binary)
         writer.writerow([
-            label, _code_label(c), int(binary),
+            label, " ".join(map(str, ratio_list(c))), int(binary),
             f"{report.flops:.1f}", f"{report.flops_norm:.6f}", f"{report.speedup:.4f}", report.weight_bits,
         ])
     return out.getvalue()

@@ -27,11 +27,11 @@ from .checkpoint import (
 )
 from .config import RunConfig
 from .data import Dataset
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .net import instantiate
 from .search import SearchLogRecord, evolve, make_proxy_evaluator
 from .seeding import derive_seed
-from .space import code_file_text, uniform_code
+from .space import code_file_text, ratio_list, uniform_code
 from .templates import get_template
 from .train import TrainConfig, accuracy, train_network
 
@@ -50,7 +50,7 @@ def read_search_log(path: str) -> list[SearchLogRecord]:
                 continue
             try:
                 records.append(SearchLogRecord.from_json(line))
-            except FormatError as e:
+            except (FormatError, InputError) as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from None
     return records
 
@@ -108,7 +108,7 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
     atomic_write_text(os.path.join(cfg.output_dir, BEST_CODE_NAME), code_file_text(template.name, best.code))
     summary = {
         "template": template.name,
-        "best_code": [int(r) if float(r).is_integer() else r for r in best.code],
+        "best_code": ratio_list(best.code),
         "best_fitness": best.fitness,
         "best_acc": best.acc,
         "best_flops": best.cost.flops if best.cost else 0.0,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,13 +27,12 @@ import numpy as np
 from .checkpoint import Checkpoint, inherit_weights
 from .cost import CostReport, count_cost
 from .data import Dataset
-from .errors import FormatError, InputError
+from .errors import DivergenceError, FormatError, InputError
 from .net import instantiate
 from .seeding import derive_seed, rng_from
-from .space import RATIOS, ExpansionCode, random_code, uniform_code, validate_code
+from .space import RATIOS, ExpansionCode, random_code, ratio_list, uniform_code, validate_code
 from .templates import NetworkTemplate
 from .train import TrainConfig, accuracy, train_network
-from .errors import DivergenceError
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class SearchLogRecord:
 
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)
-        payload["code"] = [int(r) if float(r).is_integer() else r for r in self.code]
+        payload["code"] = ratio_list(self.code)
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
@@ -104,7 +103,9 @@ class SearchLogRecord:
         except json.JSONDecodeError as e:
             raise FormatError(f"bad search log line: {e}") from None
         fields = {f.name for f in dataclasses.fields(cls)}
-        if not isinstance(payload, dict) or set(payload) != fields:
+        if not isinstance(payload, dict):
+            raise FormatError(f"search log line holds {json.dumps(payload)}, expected an object")
+        if set(payload) != fields:
             raise FormatError(f"search log line has keys {sorted(payload)}, expected {sorted(fields)}")
         payload["code"] = validate_code(payload["code"])
         return cls(**payload)

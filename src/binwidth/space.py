@@ -1,15 +1,16 @@
 """Expansion codes and their application to network templates.
 
 An expansion code is one ratio per gene, drawn from the fixed candidate
-set. `resolve_channels` turns (template, code) into concrete per-layer
-channel counts, enforcing the residual tying rules; `layer_geometry`
-additionally tracks spatial extents, which the cost model and network
-builder share.
+set. `layer_geometry` turns (template, code) into concrete per-layer
+channel counts and spatial extents, enforcing the residual tying rules,
+in one walk that the cost model, the network builder and checkpoint
+slicing share; `resolve_channels` is its channel view.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,19 +25,18 @@ ExpansionCode = tuple[float, ...]
 
 
 def validate_code(code: Iterable[float], n_genes: int | None = None) -> ExpansionCode:
-    code = tuple(float(r) for r in code)
+    code = tuple(code)
     for i, r in enumerate(code):
-        if r not in RATIOS:
-            raise InputError(f"ratio {r} at gene {i} is not one of {RATIOS}")
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or r not in RATIOS:
+            raise InputError(f"ratio {r!r} at gene {i} is not one of {RATIOS}")
+    code = tuple(float(r) for r in code)
     if n_genes is not None and len(code) != n_genes:
         raise InputError(f"code has {len(code)} genes, template expects {n_genes}")
     return code
 
 
 def uniform_code(ratio: float, n: int) -> ExpansionCode:
-    if float(ratio) not in RATIOS:
-        raise InputError(f"ratio {ratio} is not one of {RATIOS}")
-    return (float(ratio),) * n
+    return validate_code((ratio,) * n)
 
 
 def random_code(n: int, rng: np.random.Generator) -> ExpansionCode:
@@ -49,54 +49,6 @@ def _scaled(ratio: float, base: int) -> int:
     if abs(value - width) > 1e-9 or width < 1:
         raise InputError(f"ratio {ratio} on base {base} does not give a positive integer width")
     return width
-
-
-def resolve_channels(template: NetworkTemplate, code: Iterable[float]) -> dict[str, tuple[int, int]]:
-    """Per-layer (in, out) channel counts, projection shortcuts included.
-
-    Gened layers scale their base width by the gene's ratio. A block with
-    an identity shortcut has its last conv's output tied to the block
-    input; a projection shortcut adopts the block's output gene. The first
-    conv's input and the classifier's output stay fixed at the image
-    channel count and the class count.
-    """
-    code = validate_code(code, template.n_genes)
-    channels: dict[str, tuple[int, int]] = {}
-    cur = template.input_shape[0]
-    block_inputs: dict[str, int] = {}
-    for i, spec in enumerate(template.layers):
-        block = template.block_at(i)
-        if block is not None and i == block.first_layer:
-            block_inputs[block.name] = cur
-        if spec.kind == "conv":
-            cin = cur
-            if spec.gene_index is not None:
-                cout = _scaled(code[spec.gene_index], spec.base_out)
-            else:
-                if block is None or block.proj_conv is not None:
-                    raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
-                cout = block_inputs[block.name]
-            channels[spec.name] = (cin, cout)
-            cur = cout
-        elif spec.kind == "fc":
-            cin = cur
-            cout = _scaled(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
-            channels[spec.name] = (cin, cout)
-            cur = cout
-        elif spec.kind == "residual-add":
-            assert block is not None and i == block.add_layer
-            shortcut = block_inputs[block.name]
-            if block.proj_conv is not None:
-                channels[block.proj_conv.name] = (shortcut, cur)
-                channels[block.proj_bn.name] = (cur, cur)
-            elif shortcut != cur:
-                raise InputError(
-                    f"identity shortcut of block '{block.name}' sees {shortcut} vs {cur} channels"
-                )
-            channels[spec.name] = (cur, cur)
-        else:  # bn, act, pool
-            channels[spec.name] = (cur, cur)
-    return channels
 
 
 @dataclass(frozen=True)
@@ -119,50 +71,71 @@ def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[LayerGeom]:
-    """Execution-ordered geometry; projection entries precede their add."""
-    channels = resolve_channels(template, code)
+    """Execution-ordered channels and extents; projection entries precede their add.
+
+    Gened layers scale their base width by the gene's ratio. A block with
+    an identity shortcut has its last conv's output tied to the block
+    input; a projection shortcut adopts the block's output gene. The first
+    conv's input and the classifier's output stay fixed at the image
+    channel count and the class count.
+    """
+    code = validate_code(code, template.n_genes)
     geoms: list[LayerGeom] = []
-    _, h, w = template.input_shape
-    block_extent: dict[str, tuple[int, int]] = {}
+    c, h, w = template.input_shape
+    block_inputs: dict[str, int] = {}
     for i, spec in enumerate(template.layers):
         block = template.block_at(i)
         if block is not None and i == block.first_layer:
-            block_extent[block.name] = (h, w)
-        cin, cout = channels[spec.name]
+            block_inputs[block.name] = c
+        cin = c
         if spec.kind == "conv":
+            if spec.gene_index is not None:
+                c = _scaled(code[spec.gene_index], spec.base_out)
+            elif block is None or block.proj_conv is not None:
+                raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
+            else:
+                c = block_inputs[block.name]
             h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
             w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(LayerGeom(spec, cin, cout, h, w))
+            geoms.append(LayerGeom(spec, cin, c, h, w))
         elif spec.kind == "fc":
-            d = cin * h * w
+            c = _scaled(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
+            geoms.append(LayerGeom(spec, cin, c, 1, 1, in_features=cin * h * w))
             h = w = 1
-            geoms.append(LayerGeom(spec, cin, cout, 1, 1, in_features=d))
         elif spec.kind == "pool":
             if spec.pool_op == "global_avg":
                 h = w = 1
             else:
                 h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
                 w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(LayerGeom(spec, cin, cout, h, w))
+            geoms.append(LayerGeom(spec, c, c, h, w))
         elif spec.kind == "residual-add":
+            shortcut = block_inputs[block.name]
             if block.proj_conv is not None:
-                pin, pout = channels[block.proj_conv.name]
-                geoms.append(LayerGeom(block.proj_conv, pin, pout, h, w, proj_of=block.name))
-                geoms.append(LayerGeom(block.proj_bn, pout, pout, h, w, proj_of=block.name))
-            geoms.append(LayerGeom(spec, cin, cout, h, w))
+                geoms.append(LayerGeom(block.proj_conv, shortcut, c, h, w, proj_of=block.name))
+                geoms.append(LayerGeom(block.proj_bn, c, c, h, w, proj_of=block.name))
+            elif shortcut != c:
+                raise InputError(f"identity shortcut of block '{block.name}' sees {shortcut} vs {c} channels")
+            geoms.append(LayerGeom(spec, c, c, h, w))
         else:  # bn, act
-            geoms.append(LayerGeom(spec, cin, cout, h, w))
+            geoms.append(LayerGeom(spec, c, c, h, w))
     return geoms
 
 
-def _ratio_repr(r: float):
-    return int(r) if float(r).is_integer() else r
+def resolve_channels(template: NetworkTemplate, code: Iterable[float]) -> dict[str, tuple[int, int]]:
+    """Per-layer (in, out) channel counts, projection shortcuts included."""
+    return {g.spec.name: (g.in_ch, g.out_ch) for g in layer_geometry(template, code)}
+
+
+def ratio_list(code: Iterable[float]) -> list:
+    """Ratios as JSON values: whole ratios as integers, the rest as floats."""
+    return [int(r) if float(r).is_integer() else float(r) for r in code]
 
 
 def code_file_text(template_name: str, code: Iterable[float]) -> str:
     """Code file body: template name plus exact-decimal ratio list."""
     code = validate_code(code)
-    payload = {"template": template_name, "ratios": [_ratio_repr(r) for r in code]}
+    payload = {"template": template_name, "ratios": ratio_list(code)}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -177,6 +150,7 @@ def read_code_file(path: str) -> tuple[str, ExpansionCode]:
             payload = json.load(f)
         except json.JSONDecodeError as e:
             raise FormatError(f"code file {path} is not valid JSON: {e}") from e
-    if not isinstance(payload, dict) or set(payload) != {"template", "ratios"}:
-        raise FormatError(f"code file {path} must contain exactly 'template' and 'ratios'")
+    if (not isinstance(payload, dict) or set(payload) != {"template", "ratios"}
+            or not isinstance(payload["ratios"], list)):
+        raise FormatError(f"code file {path} must contain exactly 'template' and a 'ratios' list")
     return str(payload["template"]), validate_code(payload["ratios"])

@@ -62,6 +62,9 @@ class NetworkTemplate:
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         self._validate()
+        block_of = (next((b for b in self.blocks if b.first_layer <= i <= b.add_layer), None)
+                    for i in range(len(self.layers)))
+        object.__setattr__(self, "_block_of", tuple(block_of))
 
     def _validate(self):
         weighted = [l for l in self.layers if l.kind in ("conv", "fc")]
@@ -94,10 +97,8 @@ class NetworkTemplate:
             raise InputError(f"template '{self.name}' gene indices {sorted(seen)} != 0..{self.n_genes - 1}")
 
     def block_at(self, layer_index: int) -> BlockSpec | None:
-        for b in self.blocks:
-            if b.first_layer <= layer_index <= b.add_layer:
-                return b
-        return None
+        """The block whose main path holds layer `layer_index`, if any."""
+        return self._block_of[layer_index]
 
 
 def _conv(name, base_in, base_out, k, stride=1, pad=None, binarized=True, gene=None) -> LayerSpec:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,7 +54,7 @@ class TrainConfig:
     batch_size: int = 128
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    schedule: LrSchedule = field(default_factory=lambda: CIFAR_SCHEDULE)
+    schedule: LrSchedule = CIFAR_SCHEDULE
     seed: int = 0
     augment: bool = False
 

@@ -43,3 +43,32 @@ def numeric_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return float(np.abs(a - b).max() / denom)
+
+
+def act_conv_pass(x: np.ndarray, w: np.ndarray, tangent: np.ndarray):
+    """Forward and backward through the act1 -> conv2 units of a
+    vgg_small_mini network: the binary path that training runs.
+
+    conv2 (3x3, pad 1) gets weight `w`, whose shape picks the widths.
+    Returns (conv output, gradient at the activation input, weight
+    gradient as stored in the network).
+    """
+    from binwidth import net, templates
+
+    cout, cin = w.shape[:2]
+    network = net.instantiate(templates.vgg_small_mini(), (cin / 16, cout / 16, 1.0, 1.0), seed=0)
+    network.params["conv2.weight"][...] = w
+    units = {unit.spec.name: unit for unit in network.units}
+    act, conv = units["act1"], units["conv2"]
+    out = conv.forward(network, act.forward(network, x, True), True)
+    gx = act.backward(network, conv.backward(network, tangent))
+    return out, gx, network.grads["conv2.weight"]
+
+
+def surrogate_conv_grads(x: np.ndarray, w: np.ndarray, tangent: np.ndarray, pad: int = 1):
+    """Exact gradients of the surrogate y = conv(clip(x, 0, 1), w)."""
+    from binwidth import ops
+
+    _, ctx = ops.conv2d_forward(np.clip(x, 0.0, 1.0), w, 1, pad)
+    gxc, gw = ops.conv2d_backward(ctx, tangent)
+    return gxc * ((x > 0) & (x < 1)), gw

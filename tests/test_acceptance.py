@@ -22,7 +22,7 @@ from binwidth.cost import count_cost
 from binwidth.data import Dataset, parse_cifar10_bin, serialize_cifar10_bin, stratified_split
 from binwidth.seeding import derive_seed
 
-from helpers import numeric_grad, rel_err
+from helpers import act_conv_pass, numeric_grad, rel_err, surrogate_conv_grads
 
 
 # --- cost model ------------------------------------------------------------
@@ -75,36 +75,29 @@ def test_quantizer_unit_vectors_exact():
     np.testing.assert_array_equal(quant.binarize_activations(np.array([0.5])).values, [1.0])
 
 
-def _surrogate_grads(x, w, tangent):
-    # Exact gradient of y = conv(clip(x, 0, 1), w).
-    xc = np.clip(x, 0.0, 1.0)
-    _, ctx = ops.conv2d_forward(xc, w)
-    gxc, gw = ops.conv2d_backward(ctx, tangent)
-    return gxc * ((x > 0) & (x < 1)), gw
-
-
 def test_ste_gradient_matches_surrogate_network_to_1e6():
+    # Runs the act1 -> conv2 units of a vgg_small_mini network, the path
+    # training takes. Scales are dyadic, so mean|w| is exact in float32
+    # and the binarized weights equal w bit for bit.
     rng = np.random.default_rng(2)
     # Activation path: inputs strictly inside (0,1), weights at +-c, where
     # the quantizers are locally exact and the surrogate is differentiable.
-    x = rng.uniform(0.05, 0.95, size=(2, 3, 6, 6))
-    w = 0.7 * np.where(rng.standard_normal((4, 3, 3, 3)) < 0, -1.0, 1.0)
-    tangent = rng.standard_normal((2, 4, 4, 4))
-    _, ctx = quant.binary_conv2d_forward(x, w)
-    gx, _ = quant.binary_conv2d_backward(ctx, tangent)
-    sx, _ = _surrogate_grads(x, w, tangent)
+    x = rng.uniform(0.05, 0.95, size=(2, 4, 6, 6)).astype(np.float32)
+    w = (0.75 * np.where(rng.standard_normal((4, 4, 3, 3)) < 0, -1.0, 1.0)).astype(np.float32)
+    tangent = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+    _, gx, _ = act_conv_pass(x, w, tangent)
+    sx, _ = surrogate_conv_grads(x, w, tangent)
     assert rel_err(gx, sx) < 1e-6
 
     # Weight path: inputs outside [0,1] make the quantized and clipped
     # forwards identical, so the weight gradients must agree too.
-    x = np.where(rng.random((2, 3, 6, 6)) < 0.5,
-                 rng.uniform(-1.0, -0.05, size=(2, 3, 6, 6)),
-                 rng.uniform(1.05, 2.0, size=(2, 3, 6, 6)))
-    w = 0.4 * np.where(rng.standard_normal((4, 3, 3, 3)) < 0, -1.0, 1.0)
-    out, ctx = quant.binary_conv2d_forward(x, w)
-    assert rel_err(out, ops.conv2d(np.clip(x, 0, 1), w)) < 1e-12
-    _, gw = quant.binary_conv2d_backward(ctx, tangent)
-    _, sw = _surrogate_grads(x, w, tangent)
+    x = np.where(rng.random((2, 4, 6, 6)) < 0.5,
+                 rng.uniform(-1.0, -0.05, size=(2, 4, 6, 6)),
+                 rng.uniform(1.05, 2.0, size=(2, 4, 6, 6))).astype(np.float32)
+    w = (0.375 * np.where(rng.standard_normal((4, 4, 3, 3)) < 0, -1.0, 1.0)).astype(np.float32)
+    out, _, gw = act_conv_pass(x, w, tangent)
+    assert rel_err(out, ops.conv2d(np.clip(x, 0, 1), w, 1, 1)) < 1e-12
+    _, sw = surrogate_conv_grads(x, w, tangent)
     assert rel_err(gw, sw) < 1e-6
 
 

@@ -81,6 +81,12 @@ class TestFlops:
         assert "full-precision" in out
         assert "speedup        1.00x" in out
 
+    def test_binary_is_the_default_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["flops", "--template", "vgg_small_mini", "--uniform", "1", "--binary"])
+        assert e.value.code == 2
+        assert "--binary" in capsys.readouterr().err
+
     def test_missing_code_and_uniform_is_input_error(self, capsys):
         assert cli.main(["flops", "--template", "vgg_small"]) == 2
         assert "input error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from binwidth import cli
 from binwidth import config as cm
 from binwidth import synth
 from binwidth.errors import ConfigError
@@ -120,6 +121,37 @@ class TestParsing:
         payload["dataset"]["kind"] = "csv"
         with pytest.raises(ConfigError):
             cm.parse_run_config(payload)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("full_train.augment", "false"),
+    ("supernet_init", "false"),
+    ("search.population_size", 8.7),
+    ("search.population_size", "abc"),
+    ("full_train.schedule.decay_epochs", "12"),
+    ("proxy_train.schedule.decay_epochs", [1.5]),
+    ("search.lambda", True),
+    ("search.mutation_rate", "0.1"),
+    ("proxy_train.epochs", True),
+    ("proxy_train.momentum", None),
+    ("dataset.train_images", 5),
+    ("output_dir", 7),
+    ("template", None),
+])
+def test_value_of_wrong_json_type_names_its_dotted_key(tmp_path, capsys, key, value):
+    payload = minimal_payload(write_data(tmp_path))
+    *parents, leaf = key.split(".")
+    section = payload
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[leaf] = value
+    with pytest.raises(ConfigError) as e:
+        cm.parse_run_config(payload)
+    assert f"'{key}'" in str(e.value)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["search", "--config", str(path)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 class TestLoading:

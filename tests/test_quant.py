@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from binwidth import ops, quant
 from binwidth.errors import InputError, ShapeError
 
-from helpers import rel_err
+from helpers import act_conv_pass, rel_err, surrogate_conv_grads
 
 finite_arrays = hnp.arrays(
     dtype=np.float64,
@@ -90,11 +90,13 @@ class TestSteGradients:
 
 
 class TestBinaryConv:
+    """The act1 -> conv2 units of a vgg_small_mini network, which training runs."""
+
     def test_forward_uses_quantized_operands(self):
         rng = np.random.default_rng(0)
-        x = rng.uniform(-0.5, 1.5, size=(2, 3, 6, 6))
-        w = rng.standard_normal((4, 3, 3, 3))
-        got = quant.binary_conv2d(x, w, stride=1, pad=1)
+        x = rng.uniform(-0.5, 1.5, size=(2, 4, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
+        got, _, _ = act_conv_pass(x, w, np.zeros((2, 4, 6, 6), dtype=np.float32))
         want = ops.conv2d(
             quant.binarize_activations(x).values,
             quant.binarize_weights(w).values,
@@ -104,11 +106,10 @@ class TestBinaryConv:
 
     def test_backward_applies_both_ste_rules(self):
         rng = np.random.default_rng(1)
-        x = rng.uniform(-0.5, 1.5, size=(1, 2, 5, 5))
-        w = rng.standard_normal((3, 2, 3, 3))
-        _, ctx = quant.binary_conv2d_forward(x, w, pad=1)
-        tangent = rng.standard_normal((1, 3, 5, 5))
-        gx, gw = quant.binary_conv2d_backward(ctx, tangent)
+        x = rng.uniform(-0.5, 1.5, size=(1, 4, 5, 5)).astype(np.float32)
+        w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
+        tangent = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
+        _, gx, gw = act_conv_pass(x, w, tangent)
         # x-grad must vanish exactly where the activation left [0,1].
         assert np.all(gx[(x < 0) | (x > 1)] == 0)
         # w-grad equals the plain conv weight grad on quantized activations.
@@ -120,43 +121,34 @@ class TestBinaryConv:
 
 
 class TestSteMatchesSurrogate:
-    """The composite STE backward must agree with the exact gradient of a
+    """The network's STE backward must agree with the exact gradient of a
     surrogate network evaluated where quantization is locally exact:
-    weights at +-c (sign*mean|w| is the identity there) and activations
-    at clip fixed points for the weight-path check."""
-
-    def surrogate_grads(self, x, w, tangent, stride=1, pad=0):
-        # Surrogate: y = conv(clip(x, 0, 1), w), differentiated exactly.
-        xc = np.clip(x, 0.0, 1.0)
-        _, ctx = ops.conv2d_forward(xc, w, stride, pad)
-        gxc, gw = ops.conv2d_backward(ctx, tangent)
-        gx = gxc * ((x > 0) & (x < 1))
-        return gx, gw
+    weights at +-c (sign*mean|w| is the identity there; dyadic c keeps
+    it exact in float32) and activations at clip fixed points for the
+    weight-path check."""
 
     def test_activation_gradient_path(self):
         rng = np.random.default_rng(2)
-        x = rng.uniform(0.05, 0.95, size=(2, 3, 6, 6))  # strictly inside (0,1)
-        c = 0.7
-        w = c * np.where(rng.standard_normal((4, 3, 3, 3)) < 0, -1.0, 1.0)
-        tangent = rng.standard_normal((2, 4, 4, 4))
-        _, ctx = quant.binary_conv2d_forward(x, w)
-        gx, _ = quant.binary_conv2d_backward(ctx, tangent)
-        sx, _ = self.surrogate_grads(x, w, tangent)
+        x = rng.uniform(0.05, 0.95, size=(2, 4, 6, 6)).astype(np.float32)  # strictly inside (0,1)
+        c = 0.75
+        w = (c * np.where(rng.standard_normal((4, 4, 3, 3)) < 0, -1.0, 1.0)).astype(np.float32)
+        tangent = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        _, gx, _ = act_conv_pass(x, w, tangent)
+        sx, _ = surrogate_conv_grads(x, w, tangent)
         assert rel_err(gx, sx) < 1e-6
 
     def test_weight_gradient_path(self):
         rng = np.random.default_rng(3)
         # Outside (0,1) the quantized forward equals the clipped forward,
         # so the two weight gradients see identical activations.
-        x = np.where(rng.random((2, 3, 6, 6)) < 0.5,
-                     rng.uniform(-1.0, -0.05, size=(2, 3, 6, 6)),
-                     rng.uniform(1.05, 2.0, size=(2, 3, 6, 6)))
-        c = 0.4
-        w = c * np.where(rng.standard_normal((4, 3, 3, 3)) < 0, -1.0, 1.0)
-        tangent = rng.standard_normal((2, 4, 4, 4))
-        out, ctx = quant.binary_conv2d_forward(x, w)
+        x = np.where(rng.random((2, 4, 6, 6)) < 0.5,
+                     rng.uniform(-1.0, -0.05, size=(2, 4, 6, 6)),
+                     rng.uniform(1.05, 2.0, size=(2, 4, 6, 6))).astype(np.float32)
+        c = 0.375
+        w = (c * np.where(rng.standard_normal((4, 4, 3, 3)) < 0, -1.0, 1.0)).astype(np.float32)
+        tangent = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        out, _, gw = act_conv_pass(x, w, tangent)
         xc = np.clip(x, 0.0, 1.0)
-        assert rel_err(out, ops.conv2d(xc, w)) < 1e-12  # forwards agree
-        _, gw = quant.binary_conv2d_backward(ctx, tangent)
-        _, sw = self.surrogate_grads(x, w, tangent)
+        assert rel_err(out, ops.conv2d(xc, w, 1, 1)) < 1e-12  # forwards agree
+        _, sw = surrogate_conv_grads(x, w, tangent)
         assert rel_err(gw, sw) < 1e-6

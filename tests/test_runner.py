@@ -106,12 +106,13 @@ class TestRunSearch:
         assert sum_a == sum_b
         assert strip_wall(log_lines(cfg_a)) == strip_wall(log_lines(cfg_b))
 
-    def test_corrupt_log_line_names_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("corrupt", ['{"not": "a record"}', "5", "null"], ids=["wrong_keys", "number", "null"])
+    def test_corrupt_log_line_names_file_and_line(self, tmp_path, corrupt):
         cfg = run_config(tmp_path)
         runner.run_search(cfg)
         log_path = os.path.join(cfg.output_dir, runner.LOG_NAME)
         lines = log_lines(cfg)
-        lines[2] = '{"not": "a record"}'
+        lines[2] = corrupt
         with open(log_path, "w") as f:
             f.write("\n".join(lines) + "\n")
         with pytest.raises(FormatError) as e:

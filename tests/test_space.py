@@ -90,9 +90,11 @@ class TestCodes:
         with pytest.raises(InputError):
             space.validate_code((1.0, 2.0), n_genes=3)
 
-    def test_validate_rejects_foreign_ratio(self):
+    @pytest.mark.parametrize("code", [(1.0, 0.3), ["a"], [None], ["1"], [True], [[1.0]]],
+                             ids=["foreign_float", "string", "null", "numeric_string", "bool", "list"])
+    def test_validate_rejects_foreign_ratio(self, code):
         with pytest.raises(InputError):
-            space.validate_code((1.0, 0.3))
+            space.validate_code(code)
 
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -223,6 +225,9 @@ class TestCodeFiles:
     def test_rejects_unexpected_keys(self, tmp_path):
         path = tmp_path / "code.json"
         path.write_text('{"template": "x", "ratios": [1], "extra": 1}')
+        with pytest.raises(FormatError):
+            space.read_code_file(str(path))
+        path.write_text('{"template": "x", "ratios": 5}')  # ratios must be a list
         with pytest.raises(FormatError):
             space.read_code_file(str(path))
 
