@@ -1,8 +1,11 @@
-"""Shared test oracles: loop-based references and finite differences."""
+"""Shared test oracles: loop-based references, finite differences, and the
+network's binary act -> conv path with its differentiable surrogate."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from binwidth import net, ops, templates
 
 
 def conv2d_loops(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -53,8 +56,6 @@ def act_conv_pass(x: np.ndarray, w: np.ndarray, tangent: np.ndarray):
     Returns (conv output, gradient at the activation input, weight
     gradient as stored in the network).
     """
-    from binwidth import net, templates
-
     cout, cin = w.shape[:2]
     network = net.instantiate(templates.vgg_small_mini(), (cin / 16, cout / 16, 1.0, 1.0), seed=0)
     network.params["conv2.weight"][...] = w
@@ -67,8 +68,6 @@ def act_conv_pass(x: np.ndarray, w: np.ndarray, tangent: np.ndarray):
 
 def surrogate_conv_grads(x: np.ndarray, w: np.ndarray, tangent: np.ndarray, pad: int = 1):
     """Exact gradients of the surrogate y = conv(clip(x, 0, 1), w)."""
-    from binwidth import ops
-
     _, ctx = ops.conv2d_forward(np.clip(x, 0.0, 1.0), w, 1, pad)
     gxc, gw = ops.conv2d_backward(ctx, tangent)
     return gxc * ((x > 0) & (x < 1)), gw
