@@ -140,13 +140,19 @@ def deserialize_checkpoint(data: bytes) -> Checkpoint:
         meta = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise FormatError("metadata is not valid JSON", offset=meta_at) from None
-    if not isinstance(meta, dict) or not {"template", "ratios", "seed"} <= set(meta):
-        raise FormatError("metadata missing template/ratios/seed", offset=meta_at)
+    if (not isinstance(meta, dict) or not {"template", "ratios", "seed"} <= set(meta)
+            or not isinstance(meta["template"], str) or not isinstance(meta["ratios"], list)
+            or type(meta["seed"]) is not int):
+        raise FormatError("metadata needs a string template, a list of ratios and an integer seed", offset=meta_at)
+    try:
+        code = validate_code(meta["ratios"])
+    except InputError as e:
+        raise FormatError(f"metadata ratios: {e}", offset=meta_at) from None
     return Checkpoint(
         arrays=arrays,
-        template=str(meta["template"]),
-        code=validate_code(meta["ratios"]),
-        seed=int(meta["seed"]),
+        template=meta["template"],
+        code=code,
+        seed=meta["seed"],
     )
 
 

@@ -19,7 +19,7 @@ from .errors import BinwidthError, ConfigError, DivergenceError, FormatError, In
 from .net import instantiate
 from .report import write_run_report
 from .runner import run_search, run_train
-from .space import read_code_file, uniform_code, write_code_file
+from .space import read_code_file, uniform_code
 from .synth import write_gray_files, write_rgb_files
 from .templates import get_template
 from .train import accuracy

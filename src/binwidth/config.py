@@ -17,26 +17,12 @@ from dataclasses import dataclass
 
 from .data import Dataset, parse_cifar10_bin, parse_mnist_idx, stratified_split
 from .errors import ConfigError
-from .search import SearchConfig
+from .search import SearchConfig, json_value
 from .templates import TEMPLATES
 from .train import LrSchedule, TrainConfig
 
 # Field name -> JSON key, where the field name had to dodge a keyword.
 _JSON_KEYS = {"lambda_": "lambda"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Field type -> (the JSON values it takes, their test, the conversion).
-_TYPES = {
-    bool: ("true or false", lambda v: isinstance(v, bool), bool),
-    int: ("an integer", _is_int, int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
-    str: ("a string", lambda v: isinstance(v, str), str),
-    tuple[int, ...]: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple),
-}
 
 
 def _value(value, hint, where: str, default):
@@ -49,10 +35,7 @@ def _value(value, hint, where: str, default):
         (hint,) = (t for t in options if t is not type(None))
     if dataclasses.is_dataclass(hint):
         return _section(hint, value, where, default)
-    expected, check, convert = _TYPES[hint]
-    if not check(value):
-        raise ConfigError(f"'{where}' must be {expected}, got {json.dumps(value)}")
-    return convert(value)
+    return json_value(value, hint, where, ConfigError)
 
 
 def _section(cls, section, where: str, base=dataclasses.MISSING, derived=None):

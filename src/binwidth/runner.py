@@ -111,8 +111,8 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
         "best_code": ratio_list(best.code),
         "best_fitness": best.fitness,
         "best_acc": best.acc,
-        "best_flops": best.cost.flops if best.cost else 0.0,
-        "best_flops_norm": best.cost.flops_norm if best.cost else 0.0,
+        "best_flops": best.flops,
+        "best_flops_norm": best.flops_norm,
         "generations": cfg.search.generations,
         "population_size": cfg.search.population_size,
         "evaluations": len(records),

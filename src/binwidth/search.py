@@ -20,7 +20,7 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -67,8 +67,30 @@ class SearchConfig:
             raise InputError(f"elitism_count must lie in [0, K), got {self.elitism_count}")
 
 
+# Field type -> (the JSON values it takes, their test, the conversion).
+# `type(v) is int` keeps bools, an int subclass, out of the numbers.
+JSON_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool), bool),
+    int: ("an integer", lambda v: type(v) is int, int),
+    float: ("a number", lambda v: type(v) is int or isinstance(v, float), float),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    tuple[int, ...]: ("a list of integers", lambda v: isinstance(v, list) and all(type(x) is int for x in v), tuple),
+    ExpansionCode: ("a list of ratios", lambda v: isinstance(v, list), validate_code),
+}
+
+
+def json_value(value, hint, where: str, error: type[Exception]):
+    """`value` as the field type `hint`, else `error` naming `where`."""
+    expected, check, convert = JSON_TYPES[hint]
+    if not check(value):
+        raise error(f"'{where}' must be {expected}, got {json.dumps(value)}")
+    return convert(value)
+
+
 @dataclass
 class Individual:
+    """An evaluator's result for one code; `evolve` keeps it as a SearchLogRecord."""
+
     code: ExpansionCode
     acc: float
     cost: CostReport | None
@@ -102,13 +124,17 @@ class SearchLogRecord:
             payload = json.loads(line)
         except json.JSONDecodeError as e:
             raise FormatError(f"bad search log line: {e}") from None
-        fields = {f.name for f in dataclasses.fields(cls)}
         if not isinstance(payload, dict):
             raise FormatError(f"search log line holds {json.dumps(payload)}, expected an object")
-        if set(payload) != fields:
-            raise FormatError(f"search log line has keys {sorted(payload)}, expected {sorted(fields)}")
-        payload["code"] = validate_code(payload["code"])
+        if set(payload) != set(_RECORD_HINTS):
+            raise FormatError(f"search log line has keys {sorted(payload)}, expected {sorted(_RECORD_HINTS)}")
+        for key, hint in _RECORD_HINTS.items():
+            payload[key] = json_value(payload[key], hint, key, FormatError)
         return cls(**payload)
+
+
+# Resolved once: get_type_hints evaluates the string annotations on every call.
+_RECORD_HINTS = get_type_hints(SearchLogRecord)
 
 
 def fitness(acc_percent: float, flops_norm: float, lambda_: float) -> float:
@@ -120,7 +146,8 @@ def fitness(acc_percent: float, flops_norm: float, lambda_: float) -> float:
     return max(acc_percent - lambda_ * flops_norm, 0.0)
 
 
-def select_parent(population: list[Individual], rng: np.random.Generator, tournament_size: int = 2) -> Individual:
+def select_parent(population: list[SearchLogRecord], rng: np.random.Generator,
+                  tournament_size: int = 2) -> SearchLogRecord:
     """Tournament without replacement; highest fitness wins, ties to the
     lowest population index."""
     if not population:
@@ -206,7 +233,7 @@ Evaluator = Callable[[ExpansionCode, int, int, int], Individual]
 
 
 def _breed(
-    population: list[Individual],
+    population: list[SearchLogRecord],
     config: SearchConfig,
     mutation_rate: float,
     rng: np.random.Generator,
@@ -227,24 +254,20 @@ def _breed(
     return children, random_fallback
 
 
-def _elite_order(population: list[Individual]) -> list[int]:
-    return sorted(range(len(population)), key=lambda i: (-population[i].fitness, i))
-
-
 def evolve(
     template: NetworkTemplate,
     config: SearchConfig,
     evaluator: Evaluator,
     log_sink: Callable[[SearchLogRecord], None] | None = None,
     prior_records: Iterable[SearchLogRecord] = (),
-) -> tuple[Individual, list[SearchLogRecord]]:
-    """Run the generational loop; returns (best ever, all log records).
+) -> tuple[SearchLogRecord, list[SearchLogRecord]]:
+    """Run the generational loop; returns (first best record, all records).
 
-    `evaluator(code, generation, index, eval_seed)` produces the
-    Individual; `evaluate_candidate` partially applied is the real one,
-    and tests substitute closed-form scorers. Records passed in
-    `prior_records` replace matching evaluations (log replay); `log_sink`
-    receives only newly produced records, in order.
+    `evaluator(code, generation, index, eval_seed)` produces the Individual
+    that a new record logs; `evaluate_candidate` partially applied is the
+    real one, and tests substitute closed-form scorers. Records passed in
+    `prior_records` stand in, as they are, for matching evaluations (log
+    replay); `log_sink` receives only newly produced records, in order.
     """
     n = template.n_genes
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
@@ -255,25 +278,18 @@ def evolve(
             raise FormatError(f"duplicate log record for generation {rec.generation} index {rec.index}")
         prior[key] = rec
     records: list[SearchLogRecord] = []
-    best: Individual | None = None
-    population: list[Individual] = []
+    population: list[SearchLogRecord] = []
 
-    def run_slot(gen: int, idx: int, code: ExpansionCode, random_parents: bool) -> Individual:
-        nonlocal best
+    def run_slot(gen: int, idx: int, code: ExpansionCode, random_parents: bool) -> SearchLogRecord:
         code = validate_code(code, n)
         seed = derive_seed(config.master_seed, "eval", gen, idx)
-        replay = prior.pop((gen, idx), None)
-        if replay is not None:
-            if replay.code != code or replay.eval_seed != seed:
+        rec = prior.pop((gen, idx), None)
+        if rec is not None:
+            if rec.code != code or rec.eval_seed != seed:
                 raise FormatError(
                     f"log record at generation {gen} index {idx} does not match "
-                    f"this configuration (code {replay.code} vs {code})"
+                    f"this configuration (code {rec.code} vs {code})"
                 )
-            ind = Individual(
-                code=code, acc=replay.acc, cost=count_cost(template, code),
-                fitness=replay.fitness, eval_seed=seed, diverged=replay.diverged,
-            )
-            records.append(replay)
         else:
             ind = evaluator(code, gen, idx, seed)
             rec = SearchLogRecord(
@@ -283,27 +299,21 @@ def evolve(
                 fitness=ind.fitness, eval_seed=seed, wall_time=time.time(),
                 diverged=ind.diverged, random_parents=random_parents,
             )
-            records.append(rec)
             if log_sink is not None:
                 log_sink(rec)
-        if best is None or ind.fitness > best.fitness:
-            best = ind
-        return ind
+        records.append(rec)
+        return rec
 
     for gen in range(config.generations):
         rng = rng_from(config.master_seed, "breed", gen)
         if gen == 0:
-            codes: list[ExpansionCode] = []
-            if config.inject_anchors:
-                codes.append(uniform_code(1, n))
-                if config.population_size > 1:
-                    codes.append(uniform_code(4, n))
+            codes = [uniform_code(1, n), uniform_code(4, n)] if config.inject_anchors else []
             while len(codes) < config.population_size:
                 codes.append(random_code(n, rng))
             population = [run_slot(0, i, c, False) for i, c in enumerate(codes)]
             continue
-        order = _elite_order(population)
-        elites = [population[i] for i in order[: config.elitism_count]]
+        # sorted is stable, so fitness ties go to the lower population index.
+        elites = sorted(population, key=lambda rec: -rec.fitness)[: config.elitism_count]
         children, fallback = _breed(
             population, config, mutation_rate, rng,
             config.population_size - config.elitism_count,
@@ -316,7 +326,7 @@ def evolve(
     if prior:
         leftover = sorted(prior)
         raise FormatError(f"log contains records beyond the configured run: {leftover[:3]}")
-    return best, records
+    return max(records, key=lambda rec: rec.fitness), records
 
 
 def make_proxy_evaluator(

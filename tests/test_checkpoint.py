@@ -148,6 +148,21 @@ class TestMalformedInput:
             ck.deserialize_checkpoint(head + struct.pack("<I", len(bad)) + bad)
         assert "metadata" in str(e.value)
 
+    @pytest.mark.parametrize("field", [
+        {"ratios": 5}, {"ratios": [7, 7, 7, 7]}, {"ratios": {}}, {"seed": "x"}, {"seed": True}, {"seed": 1.5},
+        {"template": 3},
+    ], ids=["ratios_number", "ratios_foreign", "ratios_object", "seed_string", "seed_bool", "seed_float",
+            "template_number"])
+    def test_metadata_of_wrong_type_is_format_error_at_its_offset(self, field):
+        blob = ck.serialize_checkpoint(ck.Checkpoint(arrays={}, template="t", code=(1.0,), seed=0))
+        meta = json.dumps({"template": "t", "ratios": [1], "seed": 0}, sort_keys=True).encode()
+        head = blob[: len(blob) - len(meta)]
+        bad = json.dumps({"template": "t", "ratios": [1], "seed": 0, **field}).encode()
+        with pytest.raises(FormatError) as e:
+            ck.deserialize_checkpoint(head[:-4] + struct.pack("<I", len(bad)) + bad)
+        assert "metadata" in str(e.value)
+        assert e.value.offset == len(head)
+
 
 class TestAtomicWrites:
     def test_no_partial_file_on_failure(self, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from binwidth import cli, space, synth, templates
-from binwidth.checkpoint import read_checkpoint, write_checkpoint, Checkpoint, inherit_weights
+from binwidth.checkpoint import read_checkpoint, serialize_checkpoint, write_checkpoint, Checkpoint, inherit_weights
 from binwidth.net import instantiate
 
 
@@ -191,6 +191,18 @@ class TestEvalVerb:
         bad = str(tmp_path / "bad.ckpt")
         with open(bad, "wb") as f:
             f.write(b"junkjunkjunkjunk")
+        assert cli.main(["eval", "--config", cfg_path, "--ckpt", bad]) == 3
+        assert "format error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [{"ratios": 5}, {"seed": "x"}, {"ratios": [7, 7, 7, 7]}],
+                             ids=["ratios_number", "seed_string", "ratios_foreign"])
+    def test_checkpoint_metadata_of_wrong_type_is_format_error(self, tmp_path, capsys, field):
+        cfg_path = write_config(tmp_path)
+        bad = str(tmp_path / "bad.ckpt")
+        empty = serialize_checkpoint(Checkpoint({}, "vgg_small_mini", space.uniform_code(1, 4), 0))
+        meta = json.dumps({"template": "vgg_small_mini", "ratios": [1, 1, 1, 1], "seed": 0, **field}).encode()
+        with open(bad, "wb") as f:
+            f.write(empty[:16] + len(meta).to_bytes(4, "little") + meta)  # magic, version, 0 entries
         assert cli.main(["eval", "--config", cfg_path, "--ckpt", bad]) == 3
         assert "format error" in capsys.readouterr().err
 

@@ -9,9 +9,9 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["quantize_basics.py", "cost_tables.py"])
-def test_demo_exits_zero(demo):
-    env = dict(os.environ)
+@pytest.mark.parametrize("demo", ["quantize_basics.py", "cost_tables.py", "reproducible_runs.py"])
+def test_demo_exits_zero(demo, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # a demo's temp files land where pytest cleans up
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                           env=env, capture_output=True, text=True, timeout=120)

@@ -87,7 +87,7 @@ class TestRunSearch:
 
     def test_interrupted_run_resumes_equivalently(self, tmp_path):
         cfg = run_config(tmp_path)
-        runner.run_search(cfg)
+        summary = runner.run_search(cfg)
         full = log_lines(cfg)
 
         cfg2 = run_config(tmp_path, output_dir=str(tmp_path / "run2"))
@@ -95,8 +95,9 @@ class TestRunSearch:
         cut = os.path.join(cfg2.output_dir, runner.LOG_NAME)
         with open(cut, "w") as f:
             f.write("\n".join(full[:5]) + "\n")
-        runner.run_search(cfg2)
+        resumed = runner.run_search(cfg2)
         assert strip_wall(log_lines(cfg2)) == strip_wall(full)
+        assert resumed == summary
 
     def test_two_seeds_behave_identically(self, tmp_path):
         cfg_a = run_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -106,18 +107,26 @@ class TestRunSearch:
         assert sum_a == sum_b
         assert strip_wall(log_lines(cfg_a)) == strip_wall(log_lines(cfg_b))
 
-    @pytest.mark.parametrize("corrupt", ['{"not": "a record"}', "5", "null"], ids=["wrong_keys", "number", "null"])
+    # A string replaces the line; a dict retypes keys of the real line.
+    @pytest.mark.parametrize("corrupt", [
+        '{"not": "a record"}', "5", "null",
+        {"acc": "high"}, {"generation": "0"}, {"index": 2.0}, {"eval_seed": True}, {"flops": False},
+        {"fitness": None}, {"diverged": 0}, {"random_parents": "false"}, {"code": 1},
+    ], ids=["wrong_keys", "number", "null", "acc_string", "generation_string", "index_float", "eval_seed_bool",
+            "flops_bool", "fitness_null", "diverged_number", "random_parents_string", "code_number"])
     def test_corrupt_log_line_names_file_and_line(self, tmp_path, corrupt):
         cfg = run_config(tmp_path)
         runner.run_search(cfg)
         log_path = os.path.join(cfg.output_dir, runner.LOG_NAME)
         lines = log_lines(cfg)
-        lines[2] = corrupt
+        lines[2] = corrupt if isinstance(corrupt, str) else json.dumps({**json.loads(lines[2]), **corrupt})
         with open(log_path, "w") as f:
             f.write("\n".join(lines) + "\n")
         with pytest.raises(FormatError) as e:
             runner.run_search(cfg)
         assert f"{runner.LOG_NAME}:3" in str(e.value)
+        if isinstance(corrupt, dict):
+            assert f"'{next(iter(corrupt))}'" in str(e.value)
 
     def test_foreign_log_rejected(self, tmp_path):
         # A log from a different master seed fails replay validation.

@@ -314,8 +314,13 @@ class TestReplay:
         cfg = small_config(generations=generations)
         return (t, cfg) + search.evolve(t, cfg, score_distance_to(2.0))
 
-    def test_full_replay_reproduces_without_calling_evaluator(self):
+    def test_full_replay_reproduces_without_calling_evaluator(self, monkeypatch):
         t, cfg, best, records = self.run_once()
+
+        def priced(template, code, binary=True):
+            raise AssertionError(f"replay priced code {code}")
+
+        monkeypatch.setattr(search, "count_cost", priced)
         calls = []
 
         def spy(code, gen, idx, eval_seed):
