@@ -156,21 +156,20 @@ def batch_norm_forward(
         if arr.shape != (c,):
             raise ShapeError(f"{name} shape {arr.shape} != ({c},) for input {x.shape}")
     if train:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        if m > 1:
-            running_var *= 1 - momentum
-            running_var += momentum * var * (m / (m - 1))
-        else:
-            running_var *= 1 - momentum
-            running_var += momentum * var
+        mean = x.mean(axis=axes, keepdims=True)
+        xhat = x - mean  # centred once; scaled into xhat in place below
+        var = np.square(xhat).sum(axis=axes) / m  # np.var's own steps, so its bits
+        running_var *= 1 - momentum
+        running_var += momentum * var * (m / (m - 1)) if m > 1 else momentum * var
         running_mean *= 1 - momentum
-        running_mean += momentum * mean
+        running_mean += momentum * mean.reshape(c)
     else:
-        mean, var = running_mean, running_var
+        xhat = x - _bn_reshape(running_mean, x.ndim)
+        var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - _bn_reshape(mean, x.ndim)) * _bn_reshape(inv_std, x.ndim)
-    out = _bn_reshape(gamma, x.ndim) * xhat + _bn_reshape(beta, x.ndim)
+    xhat *= _bn_reshape(inv_std, x.ndim)
+    out = _bn_reshape(gamma, x.ndim) * xhat
+    out += _bn_reshape(beta, x.ndim)
     ctx = (xhat, gamma, inv_std, train, m)
     return out.astype(x.dtype, copy=False), ctx
 
@@ -179,22 +178,32 @@ def batch_norm_backward(ctx, gout: np.ndarray):
     """Gradients (gx, ggamma, gbeta); exact for the train-mode map."""
     xhat, gamma, inv_std, train, m = ctx
     axes, _, _ = _bn_axes(gout)
-    ggamma = (gout * xhat).sum(axis=axes)
+    tmp = gout * xhat
+    ggamma = tmp.sum(axis=axes)
     gbeta = gout.sum(axis=axes)
-    gxhat = gout * _bn_reshape(gamma, gout.ndim)
-    if not train:
-        return gxhat * _bn_reshape(inv_std, gout.ndim), ggamma, gbeta
-    # d/dx of (x - mean)/sqrt(var + eps) with batch mean/var as functions of x
-    gx = (
-        gxhat
-        - _bn_reshape(gxhat.sum(axis=axes) / m, gout.ndim)
-        - xhat * _bn_reshape((gxhat * xhat).sum(axis=axes) / m, gout.ndim)
-    ) * _bn_reshape(inv_std, gout.ndim)
+    gx = gout * _bn_reshape(gamma, gout.ndim)  # d/dxhat, turned into d/dx in place
+    if train:
+        # d/dx of (x - mean)/sqrt(var + eps) with batch mean/var as functions of x
+        mean_g = gx.sum(axis=axes) / m
+        proj = np.multiply(gx, xhat, out=tmp).sum(axis=axes) / m
+        gx -= _bn_reshape(mean_g, gout.ndim)
+        gx -= np.multiply(xhat, _bn_reshape(proj, gout.ndim), out=tmp)
+    gx *= _bn_reshape(inv_std, gout.ndim)
     return gx.astype(gout.dtype, copy=False), ggamma, gbeta
 
 
+def _pool_views(x_pad: np.ndarray, k: int, stride: int, hout: int, wout: int) -> list:
+    """The k*k strided [N,C,hout,wout] views of x_pad, window offsets in row-major order."""
+    return [x_pad[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride]
+            for i in range(k) for j in range(k)]
+
+
 def max_pool2d_forward(x: np.ndarray, k: int, stride: int, pad: int = 0):
-    """Max over k*k windows. Ties route to the first element in row-major order."""
+    """Max over k*k windows, as a running maximum over the k*k window offsets.
+
+    ctx holds the -inf padded input and the output themselves, not copies,
+    and no argmax: the backward pass finds each window's maximum from them.
+    """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects 4-D input, got {x.shape}")
     n, c, h, w = x.shape
@@ -205,38 +214,28 @@ def max_pool2d_forward(x: np.ndarray, k: int, stride: int, pad: int = 0):
         x_eff[:, :, pad : pad + h, pad : pad + w] = x
     else:
         x_eff = x
-    sn, sc, sh, sw = x_eff.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x_eff,
-        shape=(n, c, hout, wout, k, k),
-        strides=(sn, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, hout, wout, k * k)
-    arg = flat.argmax(axis=-1)  # argmax returns the first maximum: the tie rule
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    ctx = (arg, x.shape, k, stride, pad, hout, wout)
-    return out, ctx
+    views = _pool_views(x_eff, k, stride, hout, wout)
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, out, out=out)  # an equal value keeps the earlier one (its sign of zero)
+    return out, (x_eff, out, k, stride, pad)
 
 
 def max_pool2d_backward(ctx, gout: np.ndarray) -> np.ndarray:
-    arg, x_shape, k, stride, pad, hout, wout = ctx
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    rows = (np.arange(hout) * stride)[None, None, :, None] + arg // k
-    cols = (np.arange(wout) * stride)[None, None, None, :] + arg % k
-    flat_idx = (
-        np.arange(n)[:, None, None, None] * (c * hp * wp)
-        + np.arange(c)[None, :, None, None] * (hp * wp)
-        + rows * wp
-        + cols
-    )
-    gx_pad = np.zeros(n * c * hp * wp, dtype=gout.dtype)
-    np.add.at(gx_pad, flat_idx.ravel(), gout.ravel())
-    gx_pad = gx_pad.reshape(n, c, hp, wp)
-    if pad > 0:
-        return gx_pad[:, :, pad:-pad, pad:-pad]
-    return gx_pad
+    """Routes each window's gradient to its first maximum in row-major order (the tie rule)."""
+    x_eff, out, k, stride, pad = ctx
+    hout, wout = out.shape[2:]
+    gx_pad = np.zeros(x_eff.shape, dtype=gout.dtype)
+    free = np.ones(out.shape, dtype=bool)  # windows whose first maximum is still unseen
+    hits = []
+    for view in _pool_views(x_eff, k, stride, hout, wout):
+        hits.append((view == out) & free)
+        free ^= hits[-1]
+    # Offsets in reverse row-major order add overlapping windows in row-major
+    # window order, the order of the scatter-add this replaces: same bits.
+    for gview, hit in zip(_pool_views(gx_pad, k, stride, hout, wout)[::-1], hits[::-1]):
+        gview += gout * hit
+    return gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
 
 
 def max_pool2d(x: np.ndarray, k: int, stride: int, pad: int = 0) -> np.ndarray:

@@ -71,3 +71,61 @@ def surrogate_conv_grads(x: np.ndarray, w: np.ndarray, tangent: np.ndarray, pad:
     _, ctx = ops.conv2d_forward(np.clip(x, 0.0, 1.0), w, 1, pad)
     gxc, gw = ops.conv2d_backward(ctx, tangent)
     return gxc * ((x > 0) & (x < 1)), gw
+
+
+def max_pool2d_reference(x: np.ndarray, k: int, stride: int, pad: int, gout: np.ndarray):
+    """The argmax-and-scatter-add max-pool: output and input gradient.
+
+    The bitwise oracle for `ops.max_pool2d_forward/backward`. Ties route to
+    the first element of a window in row-major order, and `np.add.at` sums
+    overlapping windows in row-major window order.
+    """
+    n, c, h, w = x.shape
+    hout, wout = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    hp, wp = h + 2 * pad, w + 2 * pad
+    x_eff = np.full((n, c, hp, wp), -np.inf, dtype=x.dtype)
+    x_eff[:, :, pad : pad + h, pad : pad + w] = x
+    sn, sc, sh, sw = x_eff.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x_eff, shape=(n, c, hout, wout, k, k), strides=(sn, sc, stride * sh, stride * sw, sh, sw)
+    )
+    flat = windows.reshape(n, c, hout, wout, k * k)
+    arg = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    rows = (np.arange(hout) * stride)[None, None, :, None] + arg // k
+    cols = (np.arange(wout) * stride)[None, None, None, :] + arg % k
+    flat_idx = (np.arange(n)[:, None, None, None] * (c * hp * wp)
+                + np.arange(c)[None, :, None, None] * (hp * wp) + rows * wp + cols)
+    gx_pad = np.zeros(n * c * hp * wp, dtype=gout.dtype)
+    np.add.at(gx_pad, flat_idx.ravel(), gout.ravel())
+    return out, gx_pad.reshape(n, c, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+
+
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, train, gout,
+                         eps=ops.BN_EPS, momentum=ops.BN_MOMENTUM):
+    """Batch norm through `np.mean`/`np.var`, one expression per step.
+
+    The bitwise oracle for `ops.batch_norm_forward/backward`: returns
+    (out, gx, ggamma, gbeta) and updates the running stats in place.
+    """
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    m = x.size // x.shape[1]
+    r = (lambda v: v.reshape(1, -1, 1, 1)) if x.ndim == 4 else (lambda v: v.reshape(1, -1))
+    if train:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        running_var *= 1 - momentum
+        running_var += momentum * var * (m / (m - 1)) if m > 1 else momentum * var
+        running_mean *= 1 - momentum
+        running_mean += momentum * mean
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - r(mean)) * r(inv_std)
+    out = (r(gamma) * xhat + r(beta)).astype(x.dtype, copy=False)
+    ggamma, gbeta = (gout * xhat).sum(axis=axes), gout.sum(axis=axes)
+    gxhat = gout * r(gamma)
+    if train:
+        gx = (gxhat - r(gxhat.sum(axis=axes) / m) - xhat * r((gxhat * xhat).sum(axis=axes) / m)) * r(inv_std)
+    else:
+        gx = gxhat * r(inv_std)
+    return out, gx.astype(gout.dtype, copy=False), ggamma, gbeta

@@ -1,5 +1,6 @@
 """Kernel correctness: forward against loop oracles, backward against
-finite differences."""
+finite differences, max-pool and batch norm bit for bit against their
+straightforward references."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,19 @@ from hypothesis import strategies as st
 from binwidth import ops
 from binwidth.errors import InputError, ShapeError
 
-from helpers import conv2d_loops, numeric_grad, rel_err
+from helpers import batch_norm_reference, conv2d_loops, max_pool2d_reference, numeric_grad, rel_err
+
+POOL_CONFIGS = [(2, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0), (3, 3, 0), (3, 2, 0)]
 
 
 def rand(shape, seed, dtype=np.float64, scale=1.0):
     return (np.random.default_rng(seed).standard_normal(shape) * scale).astype(dtype)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = np.uint32 if got.dtype == np.float32 else np.uint64
+    assert np.array_equal(np.ascontiguousarray(got).view(uint), np.ascontiguousarray(want).view(uint))
 
 
 class TestConvForward:
@@ -167,6 +176,25 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             ops.batch_norm_forward(rand((2, 3, 4, 4), 0), np.ones(2), np.zeros(3), np.zeros(3), np.ones(3), True)
 
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 3), (6, 4, 5, 3), (3, 8, 6, 6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_bitwise_equal_to_np_var_reference(self, shape, dtype, train):
+        # Outputs, gradients and running stats, bit for bit.
+        rng = np.random.default_rng(41)
+        c = shape[1]
+        for _ in range(5):
+            x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+            gamma, beta = (rng.standard_normal(c) + 1).astype(dtype), rng.standard_normal(c).astype(dtype)
+            rm, rv = rng.standard_normal(c).astype(dtype), (np.abs(rng.standard_normal(c)) + 0.5).astype(dtype)
+            gout = rng.standard_normal(shape).astype(dtype)
+            gout[rng.random(shape) < 0.2] = -0.0
+            rm_want, rv_want = rm.copy(), rv.copy()
+            want = batch_norm_reference(x, gamma, beta, rm_want, rv_want, train, gout)
+            y, ctx = ops.batch_norm_forward(x, gamma, beta, rm, rv, train)
+            for got, exp in zip((y, *ops.batch_norm_backward(ctx, gout), rm, rv), (*want, rm_want, rv_want)):
+                assert_same_bits(got, exp)
+
 
 class TestMaxPool:
     def test_known_values(self):
@@ -204,13 +232,40 @@ class TestMaxPool:
 
     def test_overlapping_windows(self):
         x = rand((2, 3, 7, 7), 27)
-        y = ops.max_pool2d(x, k=3, stride=2, pad=1)
+        y, ctx = ops.max_pool2d_forward(x, k=3, stride=2, pad=1)
         assert y.shape == (2, 3, 4, 4)
+        tangent = rand((2, 3, 4, 4), 28)
+        gx = ops.max_pool2d_backward(ctx, tangent)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+        want_gx = np.zeros_like(xp)
         for i in range(4):
             for j in range(4):
-                win = xp[:, :, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3].max(axis=(2, 3))
-                assert rel_err(y[:, :, i, j], win) == 0
+                win = xp[:, :, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
+                assert rel_err(y[:, :, i, j], win.max(axis=(2, 3))) == 0
+                first = win.reshape(2, 3, 9).argmax(axis=-1)
+                for b in range(2):
+                    for ch in range(3):
+                        r, q = divmod(int(first[b, ch]), 3)
+                        want_gx[b, ch, 2 * i + r, 2 * j + q] += tangent[b, ch, i, j]
+        assert rel_err(gx, want_gx[:, :, 1:-1, 1:-1]) < 1e-15
+
+    @pytest.mark.parametrize("k,stride,pad", POOL_CONFIGS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_bitwise_equal_to_scatter_add_reference(self, k, stride, pad, dtype, ties):
+        # Integer-valued inputs tie inside windows; -0.0 inputs and gradients
+        # pin the sign of zero in the output and in the summed gradient.
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            shape = (2, 3, int(rng.integers(5, 12)), int(rng.integers(5, 12)))
+            x = (rng.integers(-2, 3, size=shape) if ties else rng.standard_normal(shape)).astype(dtype)
+            x[rng.random(shape) < 0.1] = -0.0
+            y, ctx = ops.max_pool2d_forward(x, k, stride, pad)
+            gout = rng.standard_normal(y.shape).astype(dtype)
+            gout[rng.random(y.shape) < 0.2] = -0.0
+            want_y, want_gx = max_pool2d_reference(x, k, stride, pad, gout)
+            assert_same_bits(y, want_y)
+            assert_same_bits(ops.max_pool2d_backward(ctx, gout), want_gx)
 
 
 class TestGlobalAvgPool:
