@@ -1,4 +1,5 @@
-"""The quick demos run to completion against the current API."""
+"""The quick demos run to completion against the current API and leave no
+temp files behind."""
 
 import os
 import subprocess
@@ -11,8 +12,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("demo", ["quantize_basics.py", "cost_tables.py", "reproducible_runs.py"])
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # a demo's temp files land where pytest cleans up
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # a demo's temp files land where the test can see them
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("binwidth_demo_*")), "the demo left its temp directory behind"

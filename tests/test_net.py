@@ -64,8 +64,6 @@ class TestForward:
     @pytest.mark.parametrize("ratio", [1, 2])
     def test_logits_shape(self, name, ratio):
         t = templates.get_template(name)
-        if name in ("vgg_small", "resnet18") and ratio > 1:
-            pytest.skip("full-size forward at 2x is slow on one core")
         net = build(name, ratio=ratio)
         x = batch_for(net, n=2)
         out = net.forward(x, train=True)
