@@ -158,7 +158,7 @@ def batch_norm_forward(
     if train:
         mean = x.mean(axis=axes, keepdims=True)
         xhat = x - mean  # centred once; scaled into xhat in place below
-        var = np.square(xhat).sum(axis=axes) / m  # np.var's own steps, so its bits
+        var = np.square(xhat).sum(axis=axes) / m  # np.var's own steps, so np.var's bits
         running_var *= 1 - momentum
         running_var += momentum * var * (m / (m - 1)) if m > 1 else momentum * var
         running_mean *= 1 - momentum
@@ -201,8 +201,9 @@ def _pool_views(x_pad: np.ndarray, k: int, stride: int, hout: int, wout: int) ->
 def max_pool2d_forward(x: np.ndarray, k: int, stride: int, pad: int = 0):
     """Max over k*k windows, as a running maximum over the k*k window offsets.
 
-    ctx holds the -inf padded input and the output themselves, not copies,
-    and no argmax: the backward pass finds each window's maximum from them.
+    ctx holds the -inf padded input and the output themselves, not copies
+    (neither may be written to before the backward pass), and the backward
+    pass finds each window's maximum from them.
     """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects 4-D input, got {x.shape}")
@@ -231,8 +232,8 @@ def max_pool2d_backward(ctx, gout: np.ndarray) -> np.ndarray:
     for view in _pool_views(x_eff, k, stride, hout, wout):
         hits.append((view == out) & free)
         free ^= hits[-1]
-    # Offsets in reverse row-major order add overlapping windows in row-major
-    # window order, the order of the scatter-add this replaces: same bits.
+    # Offsets in reverse row-major order add the windows that overlap on an
+    # input in row-major window order, the summation order the tests pin.
     for gview, hit in zip(_pool_views(gx_pad, k, stride, hout, wout)[::-1], hits[::-1]):
         gview += gout * hit
     return gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]

@@ -180,7 +180,6 @@ class TestBatchNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False])
     def test_bitwise_equal_to_np_var_reference(self, shape, dtype, train):
-        # Outputs, gradients and running stats, bit for bit.
         rng = np.random.default_rng(41)
         c = shape[1]
         for _ in range(5):
