@@ -2,8 +2,10 @@
 
 A Network owns flat name->array dicts for parameters, gradients, and
 batch-norm running stats, plus an execution list of layer units. Each
-unit keeps just enough context from its forward pass to run the matching
-backward pass. Layers marked binarized quantize their weights on every
+unit keeps just enough context (its `ctx`) from a train-mode forward pass
+to run the matching backward pass, which consumes it. An eval-mode
+forward keeps no context, so no layer's input or intermediate outlives
+it. Layers marked binarized quantize their weights on every
 forward; activation quantization is an explicit layer in the templates,
 so the data entering a binary conv/fc is already 1-bit. These units are
 the package's only binary conv/fc path: training runs them, and the
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .errors import ShapeError
+from .errors import InputError, ShapeError
 from .quant import binarize_activations, binarize_weights, ste_activation_grad, ste_weight_grad
 from .seeding import rng_from
 from .space import ExpansionCode, layer_geometry, validate_code
@@ -35,7 +37,8 @@ class _ConvUnit:
         w = net.params[self.key]
         if self.spec.binarized:
             w = binarize_weights(w).values
-        y, self.ctx = ops.conv2d_forward(x, w, self.spec.stride, self.spec.pad)
+        y, ctx = ops.conv2d_forward(x, w, self.spec.stride, self.spec.pad)
+        self.ctx = ctx if train else None
         return y
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
@@ -66,7 +69,8 @@ class _FCUnit:
         if self.spec.binarized:
             w = binarize_weights(w).values
         b = net.params[self.bkey] if self.bkey else np.zeros(w.shape[1], dtype=w.dtype)
-        y, self.ctx = ops.fully_connected_forward(x, w, b)
+        y, ctx = ops.fully_connected_forward(x, w, b)
+        self.ctx = ctx if train else None
         return y
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
@@ -89,10 +93,11 @@ class _BNUnit:
         self.ctx = None
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        y, self.ctx = ops.batch_norm_forward(
+        y, ctx = ops.batch_norm_forward(
             x, net.params[self.gkey], net.params[self.bkey],
             net.buffers[self.mkey], net.buffers[self.vkey], train,
         )
+        self.ctx = ctx if train else None
         return y
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
@@ -106,15 +111,15 @@ class _BNUnit:
 class _ActUnit:
     def __init__(self, spec: LayerSpec):
         self.spec = spec
-        self.x = None
+        self.ctx = None
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        self.x = x
+        self.ctx = x if train else None
         return binarize_activations(x).values
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gx = ste_activation_grad(g, self.x)
-        self.x = None
+        gx = ste_activation_grad(g, self.ctx)
+        self.ctx = None
         return gx
 
 
@@ -124,7 +129,8 @@ class _MaxPoolUnit:
         self.ctx = None
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        y, self.ctx = ops.max_pool2d_forward(x, self.spec.kernel[0], self.spec.stride, self.spec.pad)
+        y, ctx = ops.max_pool2d_forward(x, self.spec.kernel[0], self.spec.stride, self.spec.pad)
+        self.ctx = ctx if train else None
         return y
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
@@ -139,7 +145,8 @@ class _GapUnit:
         self.ctx = None
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        y, self.ctx = ops.global_avg_pool_forward(x)
+        y, ctx = ops.global_avg_pool_forward(x)
+        self.ctx = ctx if train else None
         return y
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
@@ -158,7 +165,7 @@ class _AddUnit:
         self.proj_bn = proj_bn
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        s = net._block_in[self.block.name]
+        s = net._block_in.pop(self.block.name)  # the add's backward pass does not need it
         if self.proj_conv is not None:
             s = self.proj_conv.forward(net, s, train)
             s = self.proj_bn.forward(net, s, train)
@@ -217,6 +224,7 @@ class Network:
                 raise ShapeError(f"unknown layer kind '{spec.kind}'")
         self._block_in: dict[str, np.ndarray] = {}
         self._short_grad: dict[str, np.ndarray] = {}
+        self._has_train_ctx = False  # the units hold the ctx of a train-mode forward
 
     def _init_conv(self, spec: LayerSpec):
         cin, cout = self.channels[spec.name]
@@ -244,15 +252,21 @@ class Network:
         if x.ndim != 4 or x.shape[1:] != self.template.input_shape:
             raise ShapeError(f"input shape {x.shape} != (N, {', '.join(map(str, self.template.input_shape))})")
         self._block_in.clear()
+        self._has_train_ctx = False
         for i, unit in enumerate(self.units):
             block = self.template.block_at(i)
             if block is not None and i == block.first_layer:
                 self._block_in[block.name] = x
             x = unit.forward(self, x, train)
+        self._has_train_ctx = train
         return x
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        """Populate self.grads; call after forward(train=True)."""
+        """Populate self.grads; call once after each forward(train=True)."""
+        if not self._has_train_ctx:
+            raise InputError("backward needs a preceding forward(train=True); "
+                             "an eval-mode forward keeps no context and a backward pass consumes it")
+        self._has_train_ctx = False
         g = grad_logits
         self._short_grad.clear()
         for i in reversed(range(len(self.units))):
@@ -260,7 +274,6 @@ class Network:
             block = self.template.block_at(i)
             if block is not None and i == block.first_layer:
                 g = g + self._short_grad.pop(block.name)
-        self._block_in.clear()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Parameters then running stats, copied, in construction order."""

@@ -9,7 +9,13 @@ Conventions
   floor division: Hout = (H + 2*pad - kh) // stride + 1.
 * `*_forward` returns (output, ctx); the matching `*_backward` consumes
   ctx and the upstream gradient and returns exact gradients of the
-  forward map.
+  forward map. A ctx may hold the forward's input itself, not a copy, so
+  that input must not be written to before the backward pass.
+* Convolution streams over the batch: it builds the im2col patch matrix
+  of one chunk of samples at a time, at most CONV_CHUNK_BYTES of it (one
+  sample at least), so the matrix stays in a core's L2 cache and no
+  whole-batch patch matrix is ever live. Its ctx holds the padded input,
+  from which the backward pass rebuilds each chunk's patch matrix.
 """
 
 import numpy as np
@@ -18,6 +24,9 @@ from .errors import InputError, ShapeError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# Patch-matrix bytes per conv batch chunk: about a 2 MiB per-core L2, the
+# fastest budget in the sweep recorded in BENCH_conv.json.
+CONV_CHUNK_BYTES = 2 << 20
 
 
 def _out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -48,19 +57,29 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: i
     return patches.reshape(n, c * kh * kw, hout * wout)
 
 
-def _col2im(cols: np.ndarray, x_pad_shape, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    """Scatter-add the inverse of `_im2col`."""
-    n, c, hp, wp = x_pad_shape
-    x = np.zeros(x_pad_shape, dtype=cols.dtype)
+def _col2im_add(cols: np.ndarray, gx_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> None:
+    """Scatter-add the inverse of `_im2col` into gx_pad, window offsets in row-major order."""
+    n, c = gx_pad.shape[:2]
     cols = cols.reshape(n, c, kh, kw, hout, wout)
     for i in range(kh):
         for j in range(kw):
-            x[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, :, i, j]
-    return x
+            gx_pad[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, :, i, j]
+
+
+def _batch_chunks(x_pad: np.ndarray, kh: int, kw: int, hout: int, wout: int) -> list:
+    """Batch slices whose patch matrices hold at most CONV_CHUNK_BYTES, one sample at least."""
+    n, c = x_pad.shape[:2]
+    step = max(1, CONV_CHUNK_BYTES // (c * kh * kw * hout * wout * x_pad.itemsize))
+    return [slice(a, a + step) for a in range(0, n, step)]
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
-    """Cross-correlate x [N,Cin,H,W] with w [Cout,Cin,kh,kw]."""
+    """Cross-correlate x [N,Cin,H,W] with w [Cout,Cin,kh,kw], one batch chunk at a time.
+
+    ctx holds the padded input (x itself when pad is 0), not the patch
+    matrix. Each sample's output is the same matmul as over the whole
+    batch at once, so the chunking leaves every bit unchanged.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
     n, cin, h, wid = x.shape
@@ -71,27 +90,43 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
     wout = _out_size(wid, kw, stride, pad)
 
     x_pad = _pad_nchw(x, pad)
-    cols = _im2col(x_pad, kh, kw, stride, hout, wout)
     wmat = w.reshape(cout, -1)
-    out = np.matmul(wmat, cols).reshape(n, cout, hout, wout)
-    ctx = (cols, w, x_pad.shape, stride, pad, hout, wout)
-    return out, ctx
+    out = np.empty((n, cout, hout * wout), dtype=np.result_type(x, w))
+    for chunk in _batch_chunks(x_pad, kh, kw, hout, wout):
+        np.matmul(wmat, _im2col(x_pad[chunk], kh, kw, stride, hout, wout), out=out[chunk])
+    return out.reshape(n, cout, hout, wout), (x_pad, w, stride, pad, hout, wout)
 
 
 def conv2d_backward(ctx, gout: np.ndarray):
-    """Gradients (gx, gw) of conv2d_forward."""
-    cols, w, x_pad_shape, stride, pad, hout, wout = ctx
+    """Gradients (gx, gw) of conv2d_forward, one batch chunk at a time.
+
+    gw adds the per-sample partials in the order that `sum(axis=0)` over
+    the whole batch's partials adds them: one after another, except when w
+    has a single element, where numpy sums them pairwise and so all of
+    them are kept for that one `sum`.
+    """
+    x_pad, w, stride, pad, hout, wout = ctx
     n = gout.shape[0]
     cout, cin, kh, kw = w.shape
     go = gout.reshape(n, cout, hout * wout)
-    gw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    gcols = np.matmul(w.reshape(cout, -1).T, go)
-    gx_pad = _col2im(gcols, x_pad_shape, kh, kw, stride, hout, wout)
-    if pad > 0:
-        gx = gx_pad[:, :, pad:-pad, pad:-pad]
-    else:
-        gx = gx_pad
-    return gx, gw
+    wmat_t = w.reshape(cout, -1).T
+    gx_pad = np.zeros(x_pad.shape, dtype=np.result_type(gout, w))
+    gw = None
+    kept = []
+    for chunk in _batch_chunks(x_pad, kh, kw, hout, wout):
+        cols = _im2col(x_pad[chunk], kh, kw, stride, hout, wout)
+        parts = np.matmul(go[chunk], cols.transpose(0, 2, 1))
+        if w.size == 1:
+            kept.append(parts)
+        else:
+            if gw is not None:
+                parts[0] += gw  # the running sum enters as the chunk's first term
+            gw = parts.sum(axis=0)
+        _col2im_add(np.matmul(wmat_t, go[chunk]), gx_pad[chunk], kh, kw, stride, hout, wout)
+    if w.size == 1:
+        gw = np.concatenate(kept).sum(axis=0)
+    gx = gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
+    return gx, gw.reshape(w.shape)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:

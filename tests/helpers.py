@@ -73,6 +73,34 @@ def surrogate_conv_grads(x: np.ndarray, w: np.ndarray, tangent: np.ndarray, pad:
     return gxc * ((x > 0) & (x < 1)), gw
 
 
+def conv2d_reference(x: np.ndarray, w: np.ndarray, stride: int, pad: int, gout: np.ndarray):
+    """Whole-batch im2col convolution: output, input gradient and weight gradient.
+
+    The bitwise oracle for `ops.conv2d_forward/backward`: one patch matrix
+    for the whole batch, the weight gradient as a batched matmul followed
+    by `sum(axis=0)`, and the input gradient scattered back window offset
+    by window offset in row-major order.
+    """
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    hout, wout = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    x_pad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    sn, sc, sh, sw = x_pad.strides
+    cols = np.lib.stride_tricks.as_strided(
+        x_pad, shape=(n, cin, kh, kw, hout, wout), strides=(sn, sc, sh, sw, stride * sh, stride * sw)
+    ).reshape(n, cin * kh * kw, hout * wout)
+    wmat = w.reshape(cout, -1)
+    out = np.matmul(wmat, cols).reshape(n, cout, hout, wout)
+    go = gout.reshape(n, cout, hout * wout)
+    gw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gcols = np.matmul(wmat.T, go).reshape(n, cin, kh, kw, hout, wout)
+    gx_pad = np.zeros(x_pad.shape, dtype=gcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx_pad[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride] += gcols[:, :, i, j]
+    return out, gx_pad[:, :, pad : pad + h, pad : pad + wd], gw
+
+
 def max_pool2d_reference(x: np.ndarray, k: int, stride: int, pad: int, gout: np.ndarray):
     """The argmax-and-scatter-add max-pool: output and input gradient.
 

@@ -1,11 +1,13 @@
 """Network assembly: init, forward/backward wiring, state round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from binwidth import net as net_mod
 from binwidth import ops, space, templates
-from binwidth.errors import ShapeError
+from binwidth.errors import InputError, ShapeError
 
 from helpers import rel_err
 
@@ -19,6 +21,12 @@ def batch_for(net, n=4, seed=0):
     rng = np.random.default_rng(seed)
     c, h, w = net.template.input_shape
     return rng.uniform(-1, 1, size=(n, c, h, w)).astype(np.float32)
+
+
+def all_units(net):
+    """Every unit, with the projection conv and batch norm inside residual adds."""
+    inner = [u for add in net.units for u in (getattr(add, "proj_conv", None), getattr(add, "proj_bn", None))]
+    return list(net.units) + [u for u in inner if u is not None]
 
 
 class TestInit:
@@ -105,6 +113,26 @@ class TestForward:
         x = batch_for(net, n=4, seed=7)
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
+    def test_eval_forward_keeps_no_context(self):
+        # resnet_mini with code (1, 4, 1, 4, 1, 4) on 256 images
+        # (train.accuracy's batch size): an eval forward that kept each
+        # unit's backward context held ~1,470 MB after it returned and
+        # peaked at ~1,520 MB (tracemalloc counts are deterministic).
+        t = templates.resnet_mini()
+        net = net_mod.instantiate(t, (1, 4, 1, 4, 1, 4), seed=0)
+        x = batch_for(net, n=256)
+        net.forward(x[:2], train=True)  # leaves context that the eval forward must drop
+        tracemalloc.start()
+        try:
+            logits = net.forward(x, train=False)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(getattr(u, "ctx", None) is None for u in all_units(net))
+        assert not net._block_in
+        assert live < logits.nbytes + (1 << 20)
+        assert peak < 300e6
+
 
 class TestBackward:
     @pytest.mark.parametrize("name", ["vgg_small_mini", "resnet_mini"])
@@ -120,6 +148,22 @@ class TestBackward:
         zero = {k for k, g in net.grads.items() if not np.any(g)}
         # BN betas of dead channels may be zero; weights should never be.
         assert not {k for k in zero if k.endswith(".weight")}
+
+    @pytest.mark.parametrize("before", ["no_forward", "eval_forward", "second_backward"])
+    def test_requires_a_train_forward(self, before):
+        # Only a train-mode forward leaves the context a backward pass uses,
+        # and the backward pass consumes it.
+        net = build("resnet_mini", seed=3)
+        x = batch_for(net, n=2, seed=5)
+        dlogits = np.ones((2, net.template.class_count), dtype=np.float32)
+        if before == "eval_forward":
+            net.forward(x, train=True)
+            net.forward(x, train=False)
+        elif before == "second_backward":
+            net.forward(x, train=True)
+            net.backward(dlogits)
+        with pytest.raises(InputError, match="forward\\(train=True\\)"):
+            net.backward(dlogits)
 
     def test_shortcut_carries_gradient(self):
         # Gradient must reach the stem through both the residual main path

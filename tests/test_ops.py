@@ -1,6 +1,6 @@
 """Kernel correctness: forward against loop oracles, backward against
-finite differences, max-pool and batch norm bit for bit against their
-straightforward references."""
+finite differences, conv, max-pool and batch norm bit for bit against
+their straightforward references."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from binwidth import ops
 from binwidth.errors import InputError, ShapeError
 
-from helpers import batch_norm_reference, conv2d_loops, max_pool2d_reference, numeric_grad, rel_err
+from helpers import (
+    batch_norm_reference, conv2d_loops, conv2d_reference, max_pool2d_reference, numeric_grad, rel_err,
+)
 
 POOL_CONFIGS = [(2, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0), (3, 3, 0), (3, 2, 0)]
 
@@ -100,6 +102,37 @@ class TestConvBackward:
         gx, gw = ops.conv2d_backward(ctx, tangent)
         assert rel_err(gx, numeric_grad(loss_x, x)) < 1e-7
         assert rel_err(gw, numeric_grad(loss_w, w)) < 1e-7
+
+
+def chunk_boundary_sizes(sample_bytes):
+    """Batch sizes 1 and below, at and above conv2d's first and second chunk boundaries."""
+    step = max(1, ops.CONV_CHUNK_BYTES // sample_bytes)
+    return sorted({1, step - 1, step, step + 1, 2 * step + 1} - {0})
+
+
+# (cin, cout, k, size, stride, pad, batch sizes); None picks them at the
+# chunk boundaries. The last case is a 1x1 conv from one channel to one,
+# whose [N,1,1] weight partials numpy sums pairwise, not one after
+# another; 64x64 inputs put chunk boundaries below N=130 in both dtypes.
+CONV_BITWISE_CASES = [pytest.param(8, 6, 3, 16, stride, pad, None, id=f"3x3-stride{stride}-pad{pad}")
+                      for stride in (1, 2) for pad in (0, 1, 2)]
+CONV_BITWISE_CASES.append(pytest.param(1, 1, 1, 64, 1, 0, (9, 130, 200), id="1x1-single-weight"))
+
+
+class TestConv:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,cout,k,size,stride,pad,sizes", CONV_BITWISE_CASES)
+    def test_bitwise_equal_to_whole_batch_reference(self, dtype, cin, cout, k, size, stride, pad, sizes):
+        hout = (size + 2 * pad - k) // stride + 1
+        rng = np.random.default_rng(stride * 10 + pad)
+        w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
+        for n in sizes or chunk_boundary_sizes(cin * k * k * hout * hout * np.dtype(dtype).itemsize):
+            x = rng.standard_normal((n, cin, size, size)).astype(dtype)
+            out, ctx = ops.conv2d_forward(x, w, stride, pad)
+            gout = rng.standard_normal(out.shape).astype(dtype)
+            want = conv2d_reference(x, w, stride, pad, gout)
+            for got, exp in zip((out, *ops.conv2d_backward(ctx, gout)), want):
+                assert_same_bits(got, exp)
 
 
 class TestFullyConnected:
