@@ -24,8 +24,9 @@ from .errors import InputError, ShapeError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-# Patch-matrix bytes per conv batch chunk: about a 2 MiB per-core L2, the
-# fastest budget in the sweep recorded in BENCH_conv.json.
+# Patch-matrix bytes per conv batch chunk: one core's 2 MiB L2. In the sweep
+# recorded in BENCH_conv.json, budgets from 128 KiB to 8 MiB ran within about
+# 10% of each other, and one whole-batch chunk ran up to 80% slower.
 CONV_CHUNK_BYTES = 2 << 20
 
 
