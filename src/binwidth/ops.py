@@ -101,10 +101,9 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
 def conv2d_backward(ctx, gout: np.ndarray):
     """Gradients (gx, gw) of conv2d_forward, one batch chunk at a time.
 
-    gw adds the per-sample partials in the order that `sum(axis=0)` over
-    the whole batch's partials adds them: one after another, except when w
-    has a single element, where numpy sums them pairwise and so all of
-    them are kept for that one `sum`.
+    The per-sample weight-gradient partials fill one [N, Cout, Cin*kh*kw]
+    buffer chunk by chunk, and a single `sum(axis=0)` over it adds them
+    as over the whole batch at once, so gw keeps its bits as well.
     """
     x_pad, w, stride, pad, hout, wout = ctx
     n = gout.shape[0]
@@ -112,22 +111,13 @@ def conv2d_backward(ctx, gout: np.ndarray):
     go = gout.reshape(n, cout, hout * wout)
     wmat_t = w.reshape(cout, -1).T
     gx_pad = np.zeros(x_pad.shape, dtype=np.result_type(gout, w))
-    gw = None
-    kept = []
+    parts = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gout, x_pad))
     for chunk in _batch_chunks(x_pad, kh, kw, hout, wout):
         cols = _im2col(x_pad[chunk], kh, kw, stride, hout, wout)
-        parts = np.matmul(go[chunk], cols.transpose(0, 2, 1))
-        if w.size == 1:
-            kept.append(parts)
-        else:
-            if gw is not None:
-                parts[0] += gw  # the running sum enters as the chunk's first term
-            gw = parts.sum(axis=0)
+        np.matmul(go[chunk], cols.transpose(0, 2, 1), out=parts[chunk])
         _col2im_add(np.matmul(wmat_t, go[chunk]), gx_pad[chunk], kh, kw, stride, hout, wout)
-    if w.size == 1:
-        gw = np.concatenate(kept).sum(axis=0)
     gx = gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
-    return gx, gw.reshape(w.shape)
+    return gx, parts.sum(axis=0).reshape(w.shape)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:

@@ -134,6 +134,14 @@ class TestConv:
             for got, exp in zip((out, *ops.conv2d_backward(ctx, gout)), want):
                 assert_same_bits(got, exp)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_batch(self, dtype):
+        w = np.ones((3, 2, 3, 3), dtype=dtype)
+        out, ctx = ops.conv2d_forward(np.ones((0, 2, 5, 5), dtype=dtype), w, 1, 1)
+        gx, gw = ops.conv2d_backward(ctx, np.ones(out.shape, dtype=dtype))
+        assert out.shape == (0, 3, 5, 5) and gx.shape == (0, 2, 5, 5)
+        assert_same_bits(gw, np.zeros(w.shape, dtype=dtype))
+
 
 class TestFullyConnected:
     def test_forward_is_affine(self):
