@@ -55,6 +55,26 @@ def read_search_log(path: str) -> list[SearchLogRecord]:
     return records
 
 
+def _drop_torn_tail(path: str) -> bool:
+    """Truncate a log whose last line has no newline, the mark of a write
+    cut short by a kill, to its last complete line; True if it did."""
+    with open(path, "rb+") as f:
+        text = f.read()
+        if not text or text.endswith(b"\n"):
+            return False
+        f.truncate(text.rfind(b"\n") + 1)
+    return True
+
+
+def _search_workers() -> int:
+    """Processes a search evaluates in: one per CPU in this process's
+    affinity mask (`taskset` restricts it), or 1 where the platform lacks
+    the affinity call or fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _train_supernet(cfg: RunConfig, proxy_train: Dataset, path: str) -> Checkpoint:
     template = get_template(cfg.template)
     code = uniform_code(4, template.n_genes)
@@ -85,7 +105,11 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
             supernet = _train_supernet(cfg, proxy_train, supernet_path)
 
     log_path = os.path.join(cfg.output_dir, LOG_NAME)
-    prior = read_search_log(log_path) if os.path.exists(log_path) else []
+    prior = []
+    if os.path.exists(log_path):
+        if _drop_torn_tail(log_path):
+            echo(f"dropped the unterminated last line of {log_path}; its slot is evaluated again")
+        prior = read_search_log(log_path)
     if prior:
         echo(f"resuming: {len(prior)} evaluations already logged")
 
@@ -103,7 +127,8 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
                 f"acc {record.acc:.2f} norm {record.flops_norm:.3f} fitness {record.fitness:.2f}"
             )
 
-        best, records = evolve(template, cfg.search, evaluator, log_sink=sink, prior_records=prior)
+        best, records = evolve(template, cfg.search, evaluator, log_sink=sink, prior_records=prior,
+                               workers=_search_workers())
 
     atomic_write_text(os.path.join(cfg.output_dir, BEST_CODE_NAME), code_file_text(template.name, best.code))
     summary = {

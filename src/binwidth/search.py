@@ -10,14 +10,24 @@ Determinism contract: breeding for a generation consumes a sequential
 generator derived from (master_seed, "breed", generation); every
 candidate evaluation is seeded by (master_seed, "eval", generation,
 index). The trajectory therefore depends only on the config and data,
-never on evaluation scheduling, and a killed run can be resumed by
-replaying its log.
+never on evaluation scheduling, and scheduling does vary: `evolve` may
+evaluate a generation's children one after another in-process or at
+once in worker processes, finishing in any order. Records are built and
+logged in index order either way, so the log is the same apart from
+`wall_time`, and a killed run can be resumed by replaying its log.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import ctypes
 import dataclasses
+import functools
+import glob
 import json
+import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, get_type_hints
@@ -27,7 +37,7 @@ import numpy as np
 from .checkpoint import Checkpoint, inherit_weights
 from .cost import CostReport, count_cost
 from .data import Dataset
-from .errors import DivergenceError, FormatError, InputError
+from .errors import BinwidthError, DivergenceError, FormatError, InputError
 from .net import instantiate
 from .seeding import derive_seed, rng_from
 from .space import RATIOS, ExpansionCode, random_code, ratio_list, uniform_code, validate_code
@@ -260,6 +270,7 @@ def evolve(
     evaluator: Evaluator,
     log_sink: Callable[[SearchLogRecord], None] | None = None,
     prior_records: Iterable[SearchLogRecord] = (),
+    workers: int = 1,
 ) -> tuple[SearchLogRecord, list[SearchLogRecord]]:
     """Run the generational loop; returns (first best record, all records).
 
@@ -267,7 +278,17 @@ def evolve(
     that a new record logs; `evaluate_candidate` partially applied is the
     real one, and tests substitute closed-form scorers. Records passed in
     `prior_records` stand in, as they are, for matching evaluations (log
-    replay); `log_sink` receives only newly produced records, in order.
+    replay) and are never evaluated again.
+
+    With `workers` > 1, a generation's fresh slots (two or more) are
+    evaluated in a pool of up to `workers` forked processes, which inherit
+    `evaluator` instead of receiving it pickled. The pool starts with the
+    first generation that needs it, is reused by the later ones, and is
+    shut down and joined before `evolve` returns or raises. Either way
+    the parent builds every record and passes it to `log_sink` in index
+    order, so the log matches a serial run's apart from `wall_time`, and
+    a killed run leaves a prefix of it. An evaluation that raises, or a
+    worker that dies, raises here naming the slot, chained from the cause.
     """
     n = template.n_genes
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
@@ -278,55 +299,119 @@ def evolve(
             raise FormatError(f"duplicate log record for generation {rec.generation} index {rec.index}")
         prior[key] = rec
     records: list[SearchLogRecord] = []
-    population: list[SearchLogRecord] = []
+    pool: concurrent.futures.ProcessPoolExecutor | None = None
 
-    def run_slot(gen: int, idx: int, code: ExpansionCode, random_parents: bool) -> SearchLogRecord:
-        code = validate_code(code, n)
-        seed = derive_seed(config.master_seed, "eval", gen, idx)
-        rec = prior.pop((gen, idx), None)
-        if rec is not None:
-            if rec.code != code or rec.eval_seed != seed:
+    def run_generation(gen: int, first: int, codes: list[ExpansionCode], random_parents: bool) -> list[SearchLogRecord]:
+        nonlocal pool
+        slots = []
+        for idx, code in enumerate(codes, start=first):
+            code = validate_code(code, n)
+            seed = derive_seed(config.master_seed, "eval", gen, idx)
+            rec = prior.pop((gen, idx), None)
+            if rec is not None and (rec.code != code or rec.eval_seed != seed):
                 raise FormatError(
                     f"log record at generation {gen} index {idx} does not match "
                     f"this configuration (code {rec.code} vs {code})"
                 )
+            slots.append((idx, code, seed, rec))
+        fresh = [(idx, code, seed) for idx, code, seed, rec in slots if rec is None]
+        if workers > 1 and len(fresh) > 1:
+            if pool is None:  # through the package, which imports its process module (~1 MB) only now
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    min(workers, len(fresh)), mp_context=multiprocessing.get_context("fork"),
+                    initializer=_install_evaluator, initargs=(evaluator, os.getpid()),
+                )
+            outcomes = {idx: pool.submit(_evaluate_in_worker, code, gen, idx, seed).result
+                        for idx, code, seed in fresh}
         else:
-            ind = evaluator(code, gen, idx, seed)
-            rec = SearchLogRecord(
-                generation=gen, index=idx, code=ind.code, acc=ind.acc,
-                flops=ind.cost.flops if ind.cost else 0.0,
-                flops_norm=ind.cost.flops_norm if ind.cost else 0.0,
-                fitness=ind.fitness, eval_seed=seed, wall_time=time.time(),
-                diverged=ind.diverged, random_parents=random_parents,
-            )
-            if log_sink is not None:
-                log_sink(rec)
-        records.append(rec)
-        return rec
+            outcomes = {idx: functools.partial(evaluator, code, gen, idx, seed) for idx, code, seed in fresh}
+        generation = []
+        for idx, code, seed, rec in slots:
+            if rec is None:
+                ind = _outcome(outcomes[idx], gen, idx, code)
+                rec = SearchLogRecord(
+                    generation=gen, index=idx, code=ind.code, acc=ind.acc,
+                    flops=ind.cost.flops if ind.cost else 0.0,
+                    flops_norm=ind.cost.flops_norm if ind.cost else 0.0,
+                    fitness=ind.fitness, eval_seed=seed, wall_time=time.time(),
+                    diverged=ind.diverged, random_parents=random_parents,
+                )
+                if log_sink is not None:
+                    log_sink(rec)
+            generation.append(rec)
+        records.extend(generation)
+        return generation
 
-    for gen in range(config.generations):
-        rng = rng_from(config.master_seed, "breed", gen)
-        if gen == 0:
-            codes = [uniform_code(1, n), uniform_code(4, n)] if config.inject_anchors else []
-            while len(codes) < config.population_size:
-                codes.append(random_code(n, rng))
-            population = [run_slot(0, i, c, False) for i, c in enumerate(codes)]
-            continue
-        # sorted is stable, so fitness ties go to the lower population index.
-        elites = sorted(population, key=lambda rec: -rec.fitness)[: config.elitism_count]
-        children, fallback = _breed(
-            population, config, mutation_rate, rng,
-            config.population_size - config.elitism_count,
-        )
-        evaluated = [
-            run_slot(gen, config.elitism_count + j, code, fallback)
-            for j, code in enumerate(children)
-        ]
-        population = elites + evaluated
+    try:
+        for gen in range(config.generations):
+            rng = rng_from(config.master_seed, "breed", gen)
+            if gen == 0:
+                codes = [uniform_code(1, n), uniform_code(4, n)] if config.inject_anchors else []
+                while len(codes) < config.population_size:
+                    codes.append(random_code(n, rng))
+                population = run_generation(0, 0, codes, False)
+                continue
+            # sorted is stable, so fitness ties go to the lower population index.
+            elites = sorted(population, key=lambda rec: -rec.fitness)[: config.elitism_count]
+            children, fallback = _breed(
+                population, config, mutation_rate, rng,
+                config.population_size - config.elitism_count,
+            )
+            population = elites + run_generation(gen, config.elitism_count, children, fallback)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if prior:
         leftover = sorted(prior)
         raise FormatError(f"log contains records beyond the configured run: {leftover[:3]}")
     return max(records, key=lambda rec: rec.fitness), records
+
+
+def _outcome(outcome: Callable[[], Individual], gen: int, idx: int, code: ExpansionCode) -> Individual:
+    """`outcome()`, with a failure re-raised naming its slot. A package
+    error keeps its type, so the command line's exit code stays the same."""
+    try:
+        return outcome()
+    except Exception as e:
+        kind = type(e) if isinstance(e, BinwidthError) else RuntimeError
+        raise kind(f"evaluation at generation {gen} index {idx} (code {ratio_list(code)}) failed: {e}") from e
+
+
+# A pool worker's evaluator, set by the pool initializer in each forked process.
+_worker_evaluator: Evaluator | None = None
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _install_evaluator(evaluator: Evaluator, parent: int) -> None:
+    """Pool initializer. The workers already keep every CPU busy, so each
+    uses one BLAS thread: several BLAS threads per worker, spinning
+    against each other, made a search two to four times slower. On Linux
+    a worker also dies with `parent`: a parent killed before it can shut
+    the pool down would otherwise leave its workers blocked forever."""
+    global _worker_evaluator
+    _worker_evaluator = evaluator
+    _one_blas_thread()
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "prctl"):
+        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # it died before prctl took effect
+            os._exit(1)
+
+
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS bundled with numpy's Linux wheels to one thread;
+    other BLAS builds take their thread count from OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS at start-up."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, symbol):
+                getattr(lib, symbol)(1)
+                return
+
+
+def _evaluate_in_worker(code: ExpansionCode, gen: int, idx: int, eval_seed: int) -> Individual:
+    return _worker_evaluator(code, gen, idx, eval_seed)
 
 
 def make_proxy_evaluator(

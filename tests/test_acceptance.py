@@ -178,7 +178,7 @@ def test_toy_search_end_to_end_budget_anchor_and_monotonicity():
     evaluator = search.make_proxy_evaluator(t, proxy_train, proxy_val, cfg)
 
     started = time.perf_counter()
-    best, records = search.evolve(t, cfg, evaluator)
+    best, records = search.evolve(t, cfg, evaluator, workers=len(os.sched_getaffinity(0)))
     elapsed = time.perf_counter() - started
     assert elapsed < 1800, f"search took {elapsed:.0f}s"
 

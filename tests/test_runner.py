@@ -99,6 +99,22 @@ class TestRunSearch:
         assert strip_wall(log_lines(cfg2)) == strip_wall(full)
         assert resumed == summary
 
+    def test_torn_final_line_is_evaluated_again(self, tmp_path):
+        # A kill mid-write leaves the last line without its newline.
+        cfg = run_config(tmp_path)
+        summary = runner.run_search(cfg)
+        full = log_lines(cfg)
+
+        cfg2 = run_config(tmp_path, output_dir=str(tmp_path / "run2"))
+        os.makedirs(cfg2.output_dir)
+        with open(os.path.join(cfg2.output_dir, runner.LOG_NAME), "w") as f:
+            f.write("\n".join(full[:5]) + "\n" + full[5][: len(full[5]) // 2])
+        echoes = []
+        resumed = runner.run_search(cfg2, echo=echoes.append)
+        assert strip_wall(log_lines(cfg2)) == strip_wall(full)
+        assert resumed == summary
+        assert any("unterminated" in e for e in echoes)
+
     def test_two_seeds_behave_identically(self, tmp_path):
         cfg_a = run_config(tmp_path, output_dir=str(tmp_path / "a"))
         cfg_b = run_config(tmp_path, output_dir=str(tmp_path / "b"))

@@ -1,7 +1,15 @@
 """Fitness, evolutionary operators, the generational loop, log replay."""
 
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -362,6 +370,118 @@ class TestReplay:
         short = small_config(generations=2)
         with pytest.raises(FormatError):
             search.evolve(t, short, score_distance_to(2.0), prior_records=records)
+
+
+class TestWorkers:
+    def proxy_setup(self):
+        images, labels = synth.synth_gray_images(per_class=8, seed=0)
+        t = templates.vgg_small_mini()
+        cfg = search.SearchConfig(population_size=4, generations=2, proxy_epochs=1, elitism_count=1, master_seed=4)
+        evaluator = search.make_proxy_evaluator(
+            t, Dataset(images[:60], labels[:60], class_count=10), Dataset(images[60:80], labels[60:80], class_count=10),
+            cfg, train_config=train.TrainConfig(epochs=1, batch_size=25),
+        )
+        return t, cfg, evaluator
+
+    def test_proxy_records_match_a_serial_run(self):
+        t, cfg, evaluator = self.proxy_setup()
+        best, serial = search.evolve(t, cfg, evaluator)
+        seen = []
+        best2, parallel = search.evolve(t, cfg, evaluator, log_sink=seen.append, workers=2)
+        assert strip_wall_time(parallel) == strip_wall_time(serial)
+        assert seen == parallel
+        assert best2.code == best.code
+        # Two of generation 0's four slots replayed, the rest evaluated in workers.
+        seen = []
+        _, resumed = search.evolve(t, cfg, evaluator, log_sink=seen.append, prior_records=serial[:2], workers=2)
+        assert strip_wall_time(resumed) == strip_wall_time(serial)
+        assert strip_wall_time(seen) == strip_wall_time(serial[2:])
+        assert multiprocessing.active_children() == []
+
+    def test_full_replay_starts_no_pool(self, monkeypatch):
+        t, cfg = templates.resnet_mini(), small_config()
+        _, records = search.evolve(t, cfg, score_distance_to(2.0))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a replayed run")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _, replayed = search.evolve(t, cfg, score_distance_to(2.0), prior_records=records, workers=2)
+        assert replayed == records
+
+    def test_worker_exception_names_the_slot(self):
+        t, cfg = templates.resnet_mini(), small_config()
+        _, records = search.evolve(t, cfg, score_distance_to(2.0))
+        failing = next(r for r in records if (r.generation, r.index) == (1, 3))
+
+        def evaluator(code, gen, idx, eval_seed):
+            if (gen, idx) == (1, 3):
+                raise ValueError("proxy data exhausted")
+            return score_distance_to(2.0)(code, gen, idx, eval_seed)
+
+        seen = []
+        with pytest.raises(RuntimeError) as e:
+            search.evolve(t, cfg, evaluator, log_sink=seen.append, workers=2)
+        assert f"generation 1 index 3 (code {space.ratio_list(failing.code)})" in str(e.value)
+        assert isinstance(e.value.__cause__, ValueError)
+        assert str(e.value.__cause__) == "proxy data exhausted"
+        assert strip_wall_time(seen) == strip_wall_time(records[: records.index(failing)])
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        t, cfg = templates.resnet_mini(), small_config()
+
+        def evaluator(code, gen, idx, eval_seed):
+            if (gen, idx) == (0, 3):
+                os._exit(7)
+            return score_distance_to(2.0)(code, gen, idx, eval_seed)
+
+        with pytest.raises(RuntimeError, match="evaluation at generation 0 index [0-3] ") as e:
+            search.evolve(t, cfg, evaluator, workers=2)
+        assert isinstance(e.value.__cause__, BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="parent-death signal is Linux only")
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        script = (
+            "import os, sys, time\n"
+            "from binwidth import search, templates\n"
+            "def stall(code, gen, idx, eval_seed):\n"
+            "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+            "    time.sleep(60)\n"
+            "search.evolve(templates.resnet_mini(), search.SearchConfig(population_size=4, generations=1),\n"
+            "              stall, workers=2)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        parent = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.05)
+                workers = [int(name) for name in os.listdir(tmp_path)]
+            assert len(workers) == 2, "the workers never started"
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 10
+            while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(alive(pid) for pid in workers)
+        finally:
+            parent.kill()
+            for pid in workers:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def alive(pid: int) -> bool:
+    """Whether `pid` runs and is not a zombie left for its new parent to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestEvaluateCandidate:
