@@ -115,6 +115,22 @@ class TestRunSearch:
         assert resumed == summary
         assert any("unterminated" in e for e in echoes)
 
+    @pytest.mark.parametrize("has_fork, workers", [(True, 3), (False, 1)])
+    def test_one_worker_per_cpu_in_the_affinity_mask(self, tmp_path, monkeypatch, has_fork, workers):
+        seen = []
+        real = runner.evolve
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return real(*args, **{**kwargs, "workers": 1})
+
+        monkeypatch.setattr(runner, "evolve", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        if not has_fork:
+            monkeypatch.delattr(os, "fork")
+        runner.run_search(run_config(tmp_path))
+        assert seen == [workers]
+
     def test_two_seeds_behave_identically(self, tmp_path):
         cfg_a = run_config(tmp_path, output_dir=str(tmp_path / "a"))
         cfg_b = run_config(tmp_path, output_dir=str(tmp_path / "b"))
