@@ -32,10 +32,11 @@ upstream_w = np.array([1.0, 2.0, 3.0, 4.0])
 print()
 print("weight grad:    ", quant.ste_weight_grad(upstream_w, w))
 
-# For activations the gradient is masked to the clip window, so the
-# saturated entries (-0.3 and 1.4 above) receive nothing.
+# For activations the gradient is masked to the clip window by the
+# forward pass's pass mask, so the saturated entries (-0.3 and 1.4 above)
+# receive nothing.
 upstream_x = np.ones_like(x)
-print("activation grad:", quant.ste_activation_grad(upstream_x, x))
+print("activation grad:", quant.ste_activation_grad(upstream_x, qx.pass_mask))
 
 # A binary convolution quantizes both operands before the dot products,
 # so the output is built from {0,1} x {-s,+s} terms only. In a network
@@ -53,7 +54,7 @@ print("first few distinct output values:", np.unique(np.round(out, 4))[:5])
 # Backward: the conv gradients flow through the two estimators, the
 # identity for the weights and the clip-window mask for the activations.
 gq, gw_b = ops.conv2d_backward(ctx, np.ones_like(out))
-gx = quant.ste_activation_grad(gq, images)
+gx = quant.ste_activation_grad(gq, qimages.pass_mask)
 gw = quant.ste_weight_grad(gw_b, kernels)
 print("grad shapes:", gx.shape, gw.shape)
 

@@ -65,7 +65,6 @@ from .space import (
 from .templates import TEMPLATES, BlockSpec, LayerSpec, NetworkTemplate, get_template
 from .train import (
     CIFAR_SCHEDULE,
-    IMAGENET_SCHEDULE,
     LrSchedule,
     TrainConfig,
     accuracy,

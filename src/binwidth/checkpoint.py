@@ -164,47 +164,27 @@ def read_checkpoint(path: str) -> Checkpoint:
 def inherit_weights(supernet: Checkpoint, template: NetworkTemplate, code) -> Checkpoint:
     """Slice a 4x-uniform supernet down to (template, code).
 
-    Every array keeps the leading channels along its input- and
-    output-channel axes: conv weights [out, in, :, :], fc weights
-    [flattened-in, out] (rows are channel-major so a channel prefix is a
-    row prefix), per-channel vectors [c]. With the all-4 code the result
-    is an unchanged copy.
+    Each entry must have its full supernet shape, and keeps the leading
+    prefix of every axis up to the child's shape: conv weights
+    [out, in, kh, kw], fc weights [flattened-in, out] (rows are
+    channel-major so a channel prefix is a row prefix), per-channel
+    vectors [c]. No ratio exceeds 4, so every child extent fits. With the
+    all-4 code the result is an unchanged copy.
     """
     code = validate_code(code, template.n_genes)
     if supernet.template != template.name:
         raise InputError(f"supernet is for template '{supernet.template}', not '{template.name}'")
     if supernet.code != uniform_code(4, template.n_genes):
         raise InputError(f"supernet code {supernet.code} is not uniform 4x")
-    target = {g.spec.name: g for g in layer_geometry(template, code)}
-    source = {g.spec.name: g for g in layer_geometry(template, supernet.code)}
+    target = {g.spec.name: g.shapes for g in layer_geometry(template, code)}
+    source = {g.spec.name: g.shapes for g in layer_geometry(template, supernet.code)}
     sliced: dict[str, np.ndarray] = {}
     for name, arr in supernet.arrays.items():
         layer, _, field = name.rpartition(".")
-        if layer not in target:
-            raise InputError(f"checkpoint entry '{name}' matches no layer of '{template.name}'")
-        want, have = target[layer], source[layer]
-        kind = want.spec.kind
-        if kind == "conv" and field == "weight":
-            _check_fit(name, (want.out_ch, want.in_ch), (have.out_ch, have.in_ch), arr.shape[:2])
-            out = arr[: want.out_ch, : want.in_ch]
-        elif kind == "fc" and field == "weight":
-            _check_fit(name, (want.in_features, want.out_ch), (have.in_features, have.out_ch), arr.shape)
-            out = arr[: want.in_features, : want.out_ch]
-        elif kind == "fc" and field == "bias":
-            _check_fit(name, (want.out_ch,), (have.out_ch,), arr.shape)
-            out = arr[: want.out_ch]
-        elif kind == "bn":
-            _check_fit(name, (want.in_ch,), (have.in_ch,), arr.shape)
-            out = arr[: want.in_ch]
-        else:
-            raise InputError(f"checkpoint entry '{name}' has no slicing rule for kind '{kind}'")
-        sliced[name] = np.ascontiguousarray(out)
+        have = source.get(layer, {}).get(field)
+        if have is None:
+            raise InputError(f"checkpoint entry '{name}' matches no array of '{template.name}'")
+        if arr.shape != have:
+            raise InputError(f"'{name}' has shape {arr.shape}, expected {have} for the supernet")
+        sliced[name] = np.ascontiguousarray(arr[tuple(map(slice, target[layer][field]))])
     return Checkpoint(arrays=sliced, template=template.name, code=code, seed=supernet.seed)
-
-
-def _check_fit(name: str, want: tuple, have: tuple, actual: tuple) -> None:
-    if tuple(actual) != tuple(have):
-        raise InputError(f"'{name}' has shape head {tuple(actual)}, expected {tuple(have)} for the supernet")
-    for w, h in zip(want, have):
-        if w > h:
-            raise InputError(f"'{name}' target extent {w} exceeds supernet extent {h}")

@@ -5,6 +5,10 @@ must have the JSON type of the field's annotation, and absent keys take
 the field defaults. Every section rejects unknown keys so a typo in a
 hyper-parameter name fails loudly instead of silently training with a
 default, and a value of the wrong type fails naming its dotted key.
+
+`proxy_train` is the schedule each search candidate trains on; its
+`epochs` default to `search.proxy_epochs`, and its `seed` is replaced by
+each candidate's derived seed.
 """
 
 from __future__ import annotations

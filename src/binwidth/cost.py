@@ -8,6 +8,8 @@ numbers are per input image.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,19 +41,26 @@ class CostReport:
 
 
 def _weighted(template: NetworkTemplate, code: ExpansionCode):
-    """(spec, MACs, weight count) of each conv/fc layer, in execution order."""
+    """(spec, MACs, weight count) of each conv/fc layer, in execution order.
+
+    Each weight is used once per output position: h_out * w_out times for
+    a conv, once for an fc.
+    """
     for geom in layer_geometry(template, code):
-        spec = geom.spec
-        if spec.kind == "conv":
-            weights = geom.in_ch * geom.out_ch * spec.kernel[0] * spec.kernel[1]
-            yield spec, weights * geom.h_out * geom.w_out, weights
-        elif spec.kind == "fc":
-            weights = geom.in_features * geom.out_ch
-            yield spec, weights, weights
+        if "weight" in geom.shapes:
+            weights = math.prod(geom.shapes["weight"])
+            yield geom.spec, weights * geom.h_out * geom.w_out, weights
 
 
 def _flops(macs: int, binarized: bool) -> float:
     return macs / BINARY_SPEEDUP if binarized else float(macs)
+
+
+@functools.cache
+def _baseline(template: NetworkTemplate) -> tuple[float, float]:
+    """FLOPs of the uniform-1x network: (binary, full precision)."""
+    base = list(_weighted(template, uniform_code(1, template.n_genes)))
+    return sum(_flops(macs, spec.binarized) for spec, macs, _ in base), sum(float(macs) for _, macs, _ in base)
 
 
 def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = True) -> CostReport:
@@ -72,9 +81,7 @@ def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = 
         layers.append(LayerCost(spec.name, spec.kind, one_bit, macs, _flops(macs, one_bit)))
         weight_bits += weights + 32 if one_bit else 32 * weights
     total = sum(layer.flops for layer in layers)
-    base = list(_weighted(template, uniform_code(1, template.n_genes)))
-    base_binary = sum(_flops(macs, spec.binarized) for spec, macs, _ in base)
-    base_full = sum(float(macs) for _, macs, _ in base)
+    base_binary, base_full = _baseline(template)
     return CostReport(
         template=template.name,
         code=code,

@@ -11,11 +11,13 @@ so the data entering a binary conv/fc is already 1-bit. These units are
 the package's only binary conv/fc path: training runs them, and the
 straight-through gradient checks run against them.
 
-Convs never carry a bias (a norm layer always follows); fc layers carry
-one only when no norm layer follows them.
+Which arrays a layer owns, and their shapes, come from
+`space.layer_geometry`; the network creates them in its walk order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,9 +53,8 @@ class _ConvUnit:
 
 
 class _FCUnit:
-    def __init__(self, spec: LayerSpec, in_features: int, has_bias: bool):
+    def __init__(self, spec: LayerSpec, has_bias: bool):
         self.spec = spec
-        self.in_features = in_features
         self.wkey = spec.name + ".weight"
         self.bkey = spec.name + ".bias" if has_bias else None
         self.ctx = None
@@ -63,8 +64,6 @@ class _FCUnit:
         self.in_shape = x.shape
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
-        if x.shape[1] != self.in_features:
-            raise ShapeError(f"'{self.spec.name}' expects {self.in_features} features, got {x.shape[1]}")
         w = net.params[self.wkey]
         if self.spec.binarized:
             w = binarize_weights(w).values
@@ -114,8 +113,9 @@ class _ActUnit:
         self.ctx = None
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        self.ctx = x if train else None
-        return binarize_activations(x).values
+        q = binarize_activations(x)
+        self.ctx = q.pass_mask if train else None
+        return q.values
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
         gx = ste_activation_grad(g, self.ctx)
@@ -182,6 +182,10 @@ class _AddUnit:
         return g
 
 
+# Initial value of each array that is not a weight.
+_FILL = {"bias": 0.0, "gamma": 1.0, "beta": 0.0, "running_mean": 0.0, "running_var": 1.0}
+
+
 class Network:
     """An instantiated template, ready for forward/backward/SGD."""
 
@@ -189,23 +193,27 @@ class Network:
         self.template = template
         self.code: ExpansionCode = validate_code(code, template.n_genes)
         self.seed = int(seed)
-        geoms = {g.spec.name: g for g in layer_geometry(template, self.code)}
-        self.channels = {name: (g.in_ch, g.out_ch) for name, g in geoms.items()}
+        geoms = layer_geometry(template, self.code)
+        self.channels = {g.spec.name: (g.in_ch, g.out_ch) for g in geoms}
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        for g in geoms:
+            for field, shape in g.shapes.items():
+                if field == "weight":  # He init; a weight's size is fan_in * out_ch
+                    std = np.sqrt(2.0 / (math.prod(shape) // g.out_ch))
+                    arr = rng_from(self.seed, "init", g.spec.name).normal(0.0, std, size=shape).astype(np.float32)
+                else:
+                    arr = np.full(shape, _FILL[field], dtype=np.float32)
+                store = self.buffers if field.startswith("running_") else self.params
+                store[f"{g.spec.name}.{field}"] = arr
         self.units = []
-        layers = template.layers
-        for i, spec in enumerate(layers):
+        for i, spec in enumerate(template.layers):
             if spec.kind == "conv":
-                self._init_conv(spec)
                 self.units.append(_ConvUnit(spec))
             elif spec.kind == "fc":
-                has_bias = not (i + 1 < len(layers) and layers[i + 1].kind == "bn")
-                self._init_fc(spec, geoms[spec.name].in_features, has_bias)
-                self.units.append(_FCUnit(spec, geoms[spec.name].in_features, has_bias))
+                self.units.append(_FCUnit(spec, spec.name + ".bias" in self.params))
             elif spec.kind == "bn":
-                self._init_bn(spec.name, self.channels[spec.name][0])
                 self.units.append(_BNUnit(spec))
             elif spec.kind == "act":
                 self.units.append(_ActUnit(spec))
@@ -215,8 +223,6 @@ class Network:
                 block = template.block_at(i)
                 proj_conv = proj_bn = None
                 if block.proj_conv is not None:
-                    self._init_conv(block.proj_conv)
-                    self._init_bn(block.proj_bn.name, self.channels[block.proj_bn.name][0])
                     proj_conv = _ConvUnit(block.proj_conv)
                     proj_bn = _BNUnit(block.proj_bn)
                 self.units.append(_AddUnit(spec, block, proj_conv, proj_bn))
@@ -225,28 +231,6 @@ class Network:
         self._block_in: dict[str, np.ndarray] = {}
         self._short_grad: dict[str, np.ndarray] = {}
         self._has_train_ctx = False  # the units hold the ctx of a train-mode forward
-
-    def _init_conv(self, spec: LayerSpec):
-        cin, cout = self.channels[spec.name]
-        kh, kw = spec.kernel
-        fan_in = cin * kh * kw
-        rng = rng_from(self.seed, "init", spec.name)
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, kh, kw))
-        self.params[spec.name + ".weight"] = w.astype(np.float32)
-
-    def _init_fc(self, spec: LayerSpec, in_features: int, has_bias: bool):
-        _, cout = self.channels[spec.name]
-        rng = rng_from(self.seed, "init", spec.name)
-        w = rng.normal(0.0, np.sqrt(2.0 / in_features), size=(in_features, cout))
-        self.params[spec.name + ".weight"] = w.astype(np.float32)
-        if has_bias:
-            self.params[spec.name + ".bias"] = np.zeros(cout, dtype=np.float32)
-
-    def _init_bn(self, name: str, c: int):
-        self.params[name + ".gamma"] = np.ones(c, dtype=np.float32)
-        self.params[name + ".beta"] = np.zeros(c, dtype=np.float32)
-        self.buffers[name + ".running_mean"] = np.zeros(c, dtype=np.float32)
-        self.buffers[name + ".running_var"] = np.ones(c, dtype=np.float32)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1:] != self.template.input_shape:

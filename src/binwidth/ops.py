@@ -169,8 +169,6 @@ def batch_norm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train: bool,
-    eps: float = BN_EPS,
-    momentum: float = BN_MOMENTUM,
 ):
     """Batch normalization. Train mode updates running stats in place.
 
@@ -185,14 +183,14 @@ def batch_norm_forward(
         mean = x.mean(axis=axes, keepdims=True)
         xhat = x - mean  # centred once; scaled into xhat in place below
         var = np.square(xhat).sum(axis=axes) / m  # np.var's own steps, so np.var's bits
-        running_var *= 1 - momentum
-        running_var += momentum * var * (m / (m - 1)) if m > 1 else momentum * var
-        running_mean *= 1 - momentum
-        running_mean += momentum * mean.reshape(c)
+        running_var *= 1 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * (m / (m - 1)) if m > 1 else BN_MOMENTUM * var
+        running_mean *= 1 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.reshape(c)
     else:
         xhat = x - _bn_reshape(running_mean, x.ndim)
         var = running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= _bn_reshape(inv_std, x.ndim)
     out = _bn_reshape(gamma, x.ndim) * xhat
     out += _bn_reshape(beta, x.ndim)

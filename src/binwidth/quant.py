@@ -63,9 +63,10 @@ def ste_weight_grad(upstream: np.ndarray, w: np.ndarray) -> np.ndarray:
     return upstream
 
 
-def ste_activation_grad(upstream: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Upstream gradient masked to the clip window 0 <= x <= 1."""
-    if upstream.shape != x.shape:
-        raise ShapeError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-    mask = (x >= 0.0) & (x <= 1.0)
-    return np.where(mask, upstream, np.zeros((), dtype=upstream.dtype))
+def ste_activation_grad(upstream: np.ndarray, pass_mask: np.ndarray) -> np.ndarray:
+    """Upstream gradient masked to the clip window: `pass_mask` is
+    `binarize_activations(x).pass_mask` of the forward input x."""
+    if pass_mask.dtype != np.bool_ or upstream.shape != pass_mask.shape:
+        raise ShapeError(f"pass_mask must be a bool array of the upstream shape {upstream.shape}, "
+                         f"got {pass_mask.dtype} {pass_mask.shape}")
+    return np.where(pass_mask, upstream, np.zeros((), dtype=upstream.dtype))

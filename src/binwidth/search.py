@@ -210,15 +210,15 @@ def evaluate_candidate(
     """Train a short proxy schedule and score the candidate.
 
     Deterministic in (code, eval_seed): the network init and the batch
-    order both derive from eval_seed. A training divergence is not fatal;
-    the candidate scores accuracy 0 and is flagged.
+    order both derive from eval_seed. Training follows `train_config` with
+    its seed replaced by the derived one; without a `train_config` it runs
+    `config.proxy_epochs` epochs at the `TrainConfig` defaults. A training
+    divergence is not fatal; the candidate scores accuracy 0 and is flagged.
     """
     code = validate_code(code, template.n_genes)
     cost = count_cost(template, code)
     base = train_config if train_config is not None else TrainConfig(epochs=config.proxy_epochs)
-    proxy_cfg = dataclasses.replace(
-        base, epochs=config.proxy_epochs, seed=derive_seed(eval_seed, "train"),
-    )
+    proxy_cfg = dataclasses.replace(base, seed=derive_seed(eval_seed, "train"))
     net = instantiate(template, code, seed=derive_seed(eval_seed, "init"))
     if supernet is not None:
         net.load_state_dict(inherit_weights(supernet, template, code).arrays)

@@ -2,9 +2,10 @@
 
 An expansion code is one ratio per gene, drawn from the fixed candidate
 set. `layer_geometry` turns (template, code) into concrete per-layer
-channel counts and spatial extents, enforcing the residual tying rules,
-in one walk that the cost model, the network builder and checkpoint
-slicing share; `resolve_channels` is its channel view.
+channel counts, spatial extents and parameter shapes, enforcing the
+residual tying rules, in one walk that the cost model, the network
+builder and checkpoint slicing share; `resolve_channels` is its channel
+view.
 """
 
 from __future__ import annotations
@@ -53,15 +54,21 @@ def _scaled(ratio: float, base: int) -> int:
 
 @dataclass(frozen=True)
 class LayerGeom:
-    """One executed layer: its spec, resolved channels, and output extent."""
+    """One executed layer: its spec, resolved channels, output extent, and
+    the shape of each array it owns, by field name in storage order."""
 
     spec: LayerSpec
     in_ch: int
     out_ch: int
     h_out: int
     w_out: int
+    shapes: dict[str, tuple[int, ...]]
     in_features: int = 0  # fc only: flattened input size
     proj_of: str | None = None  # set on projection-shortcut entries
+
+
+def _norm_shapes(c: int) -> dict[str, tuple[int, ...]]:
+    return {"gamma": (c,), "beta": (c,), "running_mean": (c,), "running_var": (c,)}
 
 
 def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
@@ -71,13 +78,19 @@ def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[LayerGeom]:
-    """Execution-ordered channels and extents; projection entries precede their add.
+    """Execution-ordered channels, extents and array shapes; projection
+    entries precede their add.
 
     Gened layers scale their base width by the gene's ratio. A block with
     an identity shortcut has its last conv's output tied to the block
     input; a projection shortcut adopts the block's output gene. The first
     conv's input and the classifier's output stay fixed at the image
     channel count and the class count.
+
+    A conv owns `weight` [out, in, kh, kw]; an fc owns `weight`
+    [in_features, out] and, when no norm layer follows it, `bias` [out];
+    a bn owns `gamma`, `beta`, `running_mean` and `running_var`, each [c].
+    Convs carry no bias because a norm layer always follows them.
     """
     code = validate_code(code, template.n_genes)
     geoms: list[LayerGeom] = []
@@ -97,10 +110,14 @@ def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[Lay
                 c = block_inputs[block.name]
             h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
             w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(LayerGeom(spec, cin, c, h, w))
+            geoms.append(LayerGeom(spec, cin, c, h, w, {"weight": (c, cin, *spec.kernel)}))
         elif spec.kind == "fc":
             c = _scaled(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
-            geoms.append(LayerGeom(spec, cin, c, 1, 1, in_features=cin * h * w))
+            n_in = cin * h * w
+            shapes = {"weight": (n_in, c)}
+            if i + 1 == len(template.layers) or template.layers[i + 1].kind != "bn":
+                shapes["bias"] = (c,)
+            geoms.append(LayerGeom(spec, cin, c, 1, 1, shapes, in_features=n_in))
             h = w = 1
         elif spec.kind == "pool":
             if spec.pool_op == "global_avg":
@@ -108,17 +125,20 @@ def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[Lay
             else:
                 h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
                 w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(LayerGeom(spec, c, c, h, w))
+            geoms.append(LayerGeom(spec, c, c, h, w, {}))
         elif spec.kind == "residual-add":
             shortcut = block_inputs[block.name]
             if block.proj_conv is not None:
-                geoms.append(LayerGeom(block.proj_conv, shortcut, c, h, w, proj_of=block.name))
-                geoms.append(LayerGeom(block.proj_bn, c, c, h, w, proj_of=block.name))
+                geoms.append(LayerGeom(block.proj_conv, shortcut, c, h, w,
+                                       {"weight": (c, shortcut, *block.proj_conv.kernel)}, proj_of=block.name))
+                geoms.append(LayerGeom(block.proj_bn, c, c, h, w, _norm_shapes(c), proj_of=block.name))
             elif shortcut != c:
                 raise InputError(f"identity shortcut of block '{block.name}' sees {shortcut} vs {c} channels")
-            geoms.append(LayerGeom(spec, c, c, h, w))
-        else:  # bn, act
-            geoms.append(LayerGeom(spec, c, c, h, w))
+            geoms.append(LayerGeom(spec, c, c, h, w, {}))
+        elif spec.kind == "bn":
+            geoms.append(LayerGeom(spec, c, c, h, w, _norm_shapes(c)))
+        else:  # act
+            geoms.append(LayerGeom(spec, c, c, h, w, {}))
     return geoms
 
 

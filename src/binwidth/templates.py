@@ -2,9 +2,10 @@
 
 A template fixes everything about a network except its per-layer channel
 widths: layer kinds and order, kernel sizes, strides, padding, which
-layers are binarized, and which layers carry a width gene. Channel counts
-are stated for the 1x configuration and scaled by an expansion code at
-instantiation time.
+layers are binarized, and which layers carry a width gene. Output channel
+counts are stated for the 1x configuration and scaled by an expansion
+code at instantiation time; each layer's input width follows from the
+layers before it (`space.layer_geometry`).
 
 Gene layout convention for residual families: one gene for the stem
 output, one gene per block mid-width, and one gene per stage output
@@ -27,7 +28,6 @@ class LayerSpec:
     kernel: tuple[int, int] = (0, 0)
     stride: int = 1
     pad: int = 0
-    base_in: int = 0
     base_out: int = 0
     binarized: bool = False
     gene_index: int | None = None
@@ -101,17 +101,17 @@ class NetworkTemplate:
         return self._block_of[layer_index]
 
 
-def _conv(name, base_in, base_out, k, stride=1, pad=None, binarized=True, gene=None) -> LayerSpec:
+def _conv(name, base_out, k, stride=1, pad=None, binarized=True, gene=None) -> LayerSpec:
     if pad is None:
         pad = k // 2
     return LayerSpec(
         name=name, kind="conv", kernel=(k, k), stride=stride, pad=pad,
-        base_in=base_in, base_out=base_out, binarized=binarized, gene_index=gene,
+        base_out=base_out, binarized=binarized, gene_index=gene,
     )
 
 
-def _fc(name, base_in, base_out, binarized=True, gene=None) -> LayerSpec:
-    return LayerSpec(name=name, kind="fc", base_in=base_in, base_out=base_out, binarized=binarized, gene_index=gene)
+def _fc(name, base_out, binarized=True, gene=None) -> LayerSpec:
+    return LayerSpec(name=name, kind="fc", base_out=base_out, binarized=binarized, gene_index=gene)
 
 
 def _bn(name) -> LayerSpec:
@@ -137,14 +137,14 @@ def _add(name) -> LayerSpec:
 def vgg_small() -> NetworkTemplate:
     """Six 3x3 convs in three width tiers with a two-layer classifier, for 32x32 RGB inputs."""
     layers = [
-        _conv("conv1", 3, 128, 3, binarized=False, gene=0), _bn("bn1"), _act("act1"),
-        _conv("conv2", 128, 128, 3, gene=1), _bn("bn2"), _pool("pool1", 2, 2), _act("act2"),
-        _conv("conv3", 128, 256, 3, gene=2), _bn("bn3"), _act("act3"),
-        _conv("conv4", 256, 256, 3, gene=3), _bn("bn4"), _pool("pool2", 2, 2), _act("act4"),
-        _conv("conv5", 256, 512, 3, gene=4), _bn("bn5"), _act("act5"),
-        _conv("conv6", 512, 512, 3, gene=5), _bn("bn6"), _pool("pool3", 2, 2), _act("act6"),
-        _fc("fc1", 512, 1024, gene=6), _bn("bn7"), _act("act7"),
-        _fc("fc2", 1024, 10, binarized=False),
+        _conv("conv1", 128, 3, binarized=False, gene=0), _bn("bn1"), _act("act1"),
+        _conv("conv2", 128, 3, gene=1), _bn("bn2"), _pool("pool1", 2, 2), _act("act2"),
+        _conv("conv3", 256, 3, gene=2), _bn("bn3"), _act("act3"),
+        _conv("conv4", 256, 3, gene=3), _bn("bn4"), _pool("pool2", 2, 2), _act("act4"),
+        _conv("conv5", 512, 3, gene=4), _bn("bn5"), _act("act5"),
+        _conv("conv6", 512, 3, gene=5), _bn("bn6"), _pool("pool3", 2, 2), _act("act6"),
+        _fc("fc1", 1024, gene=6), _bn("bn7"), _act("act7"),
+        _fc("fc2", 10, binarized=False),
     ]
     return NetworkTemplate(name="vgg_small", layers=tuple(layers), input_shape=(3, 32, 32), class_count=10, n_genes=7)
 
@@ -156,12 +156,10 @@ def _residual_family(
     stem: list[LayerSpec],
     stage_widths: list[int],
     blocks_per_stage: int,
-    stem_width: int,
 ) -> NetworkTemplate:
     layers = list(stem)
     blocks = []
     gene = 1  # gene 0 is the stem conv
-    in_w = stem_width
     for s, width in enumerate(stage_widths, start=1):
         for b in range(1, blocks_per_stage + 1):
             downsample = s > 1 and b == 1
@@ -176,23 +174,22 @@ def _residual_family(
             else:
                 out_gene = None  # identity shortcut: output width tied to block input
             layers.extend([
-                _conv(f"{prefix}_conv1", in_w, width, 3, stride=stride, gene=mid_gene),
+                _conv(f"{prefix}_conv1", width, 3, stride=stride, gene=mid_gene),
                 _bn(f"{prefix}_bn1"),
                 _act(f"{prefix}_act1"),
-                _conv(f"{prefix}_conv2", width, width, 3, gene=out_gene),
+                _conv(f"{prefix}_conv2", width, 3, gene=out_gene),
                 _bn(f"{prefix}_bn2"),
                 _add(f"{prefix}_add"),
             ])
             add_at = len(layers) - 1
             proj_conv = proj_bn = None
             if downsample:
-                proj_conv = _conv(f"{prefix}_proj_conv", in_w, width, 1, stride=stride, pad=0)
+                proj_conv = _conv(f"{prefix}_proj_conv", width, 1, stride=stride, pad=0)
                 proj_bn = _bn(f"{prefix}_proj_bn")
             layers.append(_act(f"{prefix}_act2"))
             blocks.append(BlockSpec(name=prefix, first_layer=first, add_layer=add_at, proj_conv=proj_conv, proj_bn=proj_bn))
-            in_w = width
     layers.append(_gap("gap"))
-    layers.append(_fc("fc", stage_widths[-1], class_count, binarized=False))
+    layers.append(_fc("fc", class_count, binarized=False))
     return NetworkTemplate(
         name=name, layers=tuple(layers), input_shape=input_shape,
         class_count=class_count, n_genes=gene, blocks=tuple(blocks),
@@ -202,32 +199,32 @@ def _residual_family(
 def resnet18() -> NetworkTemplate:
     """Stem + four 2-block stages (64/128/256/512) for 224x224 RGB inputs."""
     stem = [
-        _conv("stem_conv", 3, 64, 7, stride=2, pad=3, binarized=False, gene=0),
+        _conv("stem_conv", 64, 7, stride=2, pad=3, binarized=False, gene=0),
         _bn("stem_bn"),
         _pool("stem_pool", 3, 2, pad=1),
         _act("stem_act"),
     ]
-    return _residual_family("resnet18", (3, 224, 224), 1000, stem, [64, 128, 256, 512], 2, stem_width=64)
+    return _residual_family("resnet18", (3, 224, 224), 1000, stem, [64, 128, 256, 512], 2)
 
 
 def resnet_mini() -> NetworkTemplate:
     """Three single-block stages (16/32/64) for 32x32 RGB inputs."""
     stem = [
-        _conv("stem_conv", 3, 16, 3, binarized=False, gene=0),
+        _conv("stem_conv", 16, 3, binarized=False, gene=0),
         _bn("stem_bn"),
         _act("stem_act"),
     ]
-    return _residual_family("resnet_mini", (3, 32, 32), 10, stem, [16, 32, 64], 1, stem_width=16)
+    return _residual_family("resnet_mini", (3, 32, 32), 10, stem, [16, 32, 64], 1)
 
 
 def vgg_small_mini() -> NetworkTemplate:
     """Three small convs and a 64-wide hidden classifier, for 28x28 grayscale inputs."""
     layers = [
-        _conv("conv1", 1, 16, 3, binarized=False, gene=0), _bn("bn1"), _pool("pool1", 2, 2), _act("act1"),
-        _conv("conv2", 16, 16, 3, gene=1), _bn("bn2"), _pool("pool2", 2, 2), _act("act2"),
-        _conv("conv3", 16, 32, 3, gene=2), _bn("bn3"), _act("act3"),
-        _fc("fc1", 32, 64, gene=3), _bn("bn4"), _act("act4"),
-        _fc("fc2", 64, 10, binarized=False),
+        _conv("conv1", 16, 3, binarized=False, gene=0), _bn("bn1"), _pool("pool1", 2, 2), _act("act1"),
+        _conv("conv2", 16, 3, gene=1), _bn("bn2"), _pool("pool2", 2, 2), _act("act2"),
+        _conv("conv3", 32, 3, gene=2), _bn("bn3"), _act("act3"),
+        _fc("fc1", 64, gene=3), _bn("bn4"), _act("act4"),
+        _fc("fc2", 10, binarized=False),
     ]
     return NetworkTemplate(
         name="vgg_small_mini", layers=tuple(layers), input_shape=(1, 28, 28), class_count=10, n_genes=4

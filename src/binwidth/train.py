@@ -35,9 +35,8 @@ class LrSchedule:
         object.__setattr__(self, "decay_epochs", epochs)
 
 
-# Step schedules used by the two reference training recipes.
+# Step schedule of the CIFAR reference training recipe.
 CIFAR_SCHEDULE = LrSchedule(base_lr=0.1, decay_epochs=(60, 120, 180), decay_factor=0.1)
-IMAGENET_SCHEDULE = LrSchedule(base_lr=0.1, decay_epochs=(50, 100, 135), decay_factor=0.1)
 
 
 def lr_at_epoch(schedule: LrSchedule, epoch: int) -> float:

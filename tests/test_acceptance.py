@@ -140,10 +140,10 @@ def test_full_precision_layers_pass_float32_gradcheck_1e2():
 # --- search ------------------------------------------------------------------
 
 def _eight_gene_template():
-    layers = [templates._conv("conv1", 3, 16, 3, binarized=False, gene=0)]
+    layers = [templates._conv("conv1", 16, 3, binarized=False, gene=0)]
     for i in range(2, 9):
-        layers.append(templates._conv(f"conv{i}", 16, 16, 3, gene=i - 1))
-    layers.append(templates._fc("fc", 16, 10, binarized=False))
+        layers.append(templates._conv(f"conv{i}", 16, 3, gene=i - 1))
+    layers.append(templates._fc("fc", 10, binarized=False))
     return templates.NetworkTemplate("wide8", tuple(layers), (3, 16, 16), 10, 8)
 
 

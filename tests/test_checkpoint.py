@@ -285,3 +285,11 @@ class TestInheritance:
         t = templates.vgg_small_mini()
         with pytest.raises(InputError):
             ck.inherit_weights(sup, t, space.uniform_code(1, t.n_genes))
+
+    def test_wrong_kernel_extent_rejected(self):
+        # The channel axes are right; only the kernel's width is short.
+        sup = supernet_for("vgg_small_mini")
+        sup.arrays["conv2.weight"] = np.ascontiguousarray(sup.arrays["conv2.weight"][:, :, :, :2])
+        t = templates.vgg_small_mini()
+        with pytest.raises(InputError, match="conv2.weight"):
+            ck.inherit_weights(sup, t, space.uniform_code(1, t.n_genes))

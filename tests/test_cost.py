@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binwidth import cost, space, templates
+from binwidth import net as net_mod
 
 ratio = st.sampled_from(space.RATIOS)
 
@@ -126,6 +127,20 @@ class TestWeightBits:
                 bits += 32  # one scale scalar per binary tensor
         rep = cost.count_cost(t, code)
         assert rep.weight_bits == bits
+
+    @pytest.mark.parametrize("name, code", [
+        ("vgg_small", (0.5, 1, 0.25, 2, 0.5, 0.25, 1)),
+        ("vgg_small_mini", (0.25, 2, 0.5, 3)),
+        ("resnet_mini", (0.25, 2, 0.5, 3, 1, 0.5)),  # both projection shortcuts widen
+    ])
+    def test_bits_match_the_instantiated_weight_arrays(self, name, code):
+        t = templates.get_template(name)
+        net = net_mod.instantiate(t, code, seed=0)
+        specs = [l for l in t.layers if l.kind in ("conv", "fc")]
+        specs += [b.proj_conv for b in t.blocks if b.proj_conv is not None]
+        assert sum(k.endswith(".weight") for k in net.params) == len(specs)
+        sizes = [(net.params[l.name + ".weight"].size, l.binarized) for l in specs]
+        assert cost.count_cost(t, code).weight_bits == sum(n + 32 if b else 32 * n for n, b in sizes)
 
     def test_binary_dominates_storage_compression(self):
         t = templates.vgg_small()

@@ -10,7 +10,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["quantize_basics.py", "cost_tables.py", "reproducible_runs.py"])
+@pytest.mark.parametrize("demo", ["quantize_basics.py", "cost_tables.py", "reproducible_runs.py",
+                                  "supernet_inheritance.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path))  # a demo's temp files land where the test can see them
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))

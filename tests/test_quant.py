@@ -86,7 +86,16 @@ class TestSteGradients:
     def test_activation_ste_masks_outside_unit_interval(self):
         x = np.array([-0.5, 0.25, 2.0])
         up = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(quant.ste_activation_grad(up, x), np.array([0.0, 2.0, 0.0]))
+        mask = quant.binarize_activations(x).pass_mask
+        assert np.array_equal(quant.ste_activation_grad(up, mask), np.array([0.0, 2.0, 0.0]))
+
+    @pytest.mark.parametrize("mask", [np.array([-0.5, 0.25, 2.0]), np.array([True, False])],
+                             ids=["float_input_for_mask", "shape_mismatch"])
+    def test_activation_ste_rejects_anything_but_a_matching_bool_mask(self, mask):
+        # A float input would pass np.where as "nonzero is true" and leak
+        # the gradient of every saturated entry.
+        with pytest.raises(ShapeError):
+            quant.ste_activation_grad(np.array([1.0, 2.0, 3.0]), mask)
 
 
 class TestBinaryConv:

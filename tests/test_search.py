@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binwidth import search, space, synth, templates, train
+from binwidth import search, seeding, space, synth, templates, train
 from binwidth.data import Dataset
 from binwidth.errors import FormatError, InputError
 
@@ -520,6 +520,19 @@ class TestEvaluateCandidate:
         assert ind.diverged
         assert ind.acc == 0.0
         assert ind.fitness == 0.0
+
+    def test_train_config_epochs_are_kept(self, monkeypatch):
+        # proxy_train.epochs in a run config must reach training, not be
+        # overwritten by search.proxy_epochs; only the seed is per candidate.
+        seen = []
+        monkeypatch.setattr(search, "train_network", lambda net, data, cfg: seen.append(cfg))
+        cfg = search.SearchConfig(population_size=4, generations=1, proxy_epochs=1)
+        explicit = train.TrainConfig(epochs=3, batch_size=32)
+        code = space.uniform_code(1, self.t.n_genes)
+        search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=2, train_config=explicit)
+        search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=2)
+        assert seen[0] == dataclasses.replace(explicit, seed=seeding.derive_seed(2, "train"))
+        assert seen[1] == train.TrainConfig(epochs=1, seed=seeding.derive_seed(2, "train"))
 
     def test_code_validated(self):
         cfg = search.SearchConfig(population_size=4, generations=1, proxy_epochs=0)

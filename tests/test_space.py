@@ -53,25 +53,25 @@ class TestTemplates:
 
     def test_rejects_misplaced_binarization(self):
         bad = [
-            templates._conv("conv1", 3, 16, 3, binarized=True, gene=0),
-            templates._fc("fc1", 16, 10, binarized=False),
+            templates._conv("conv1", 16, 3, binarized=True, gene=0),
+            templates._fc("fc1", 10, binarized=False),
         ]
         with pytest.raises(InputError):
             templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
 
     def test_rejects_duplicate_gene_indices(self):
         bad = [
-            templates._conv("conv1", 3, 16, 3, binarized=False, gene=0),
-            templates._conv("conv2", 16, 16, 3, gene=0),
-            templates._fc("fc1", 16, 10, binarized=False),
+            templates._conv("conv1", 16, 3, binarized=False, gene=0),
+            templates._conv("conv2", 16, 3, gene=0),
+            templates._fc("fc1", 10, binarized=False),
         ]
         with pytest.raises(InputError):
             templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
 
     def test_rejects_base_width_not_divisible_by_four(self):
         bad = [
-            templates._conv("conv1", 3, 18, 3, binarized=False, gene=0),
-            templates._fc("fc1", 18, 10, binarized=False),
+            templates._conv("conv1", 18, 3, binarized=False, gene=0),
+            templates._fc("fc1", 10, binarized=False),
         ]
         with pytest.raises(InputError):
             templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
