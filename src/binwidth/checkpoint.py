@@ -171,12 +171,13 @@ def inherit_weights(supernet: Checkpoint, template: NetworkTemplate, code) -> Ch
     vectors [c]. No ratio exceeds 4, so every child extent fits. With the
     all-4 code the result is an unchanged copy.
     """
-    code = validate_code(code, template.n_genes)
+    code = tuple(code)
+    target = {g.spec.name: g.shapes for g in layer_geometry(template, code)}  # validates the code
+    code = tuple(map(float, code))
     if supernet.template != template.name:
         raise InputError(f"supernet is for template '{supernet.template}', not '{template.name}'")
     if supernet.code != uniform_code(4, template.n_genes):
         raise InputError(f"supernet code {supernet.code} is not uniform 4x")
-    target = {g.spec.name: g.shapes for g in layer_geometry(template, code)}
     source = {g.spec.name: g.shapes for g in layer_geometry(template, supernet.code)}
     sliced: dict[str, np.ndarray] = {}
     for name, arr in supernet.arrays.items():

@@ -4,16 +4,19 @@ One multiply-accumulate counts as one FLOP. Layers running on 1-bit
 weights and activations get their MAC count divided by 64; pooling,
 batch norm, activations, and residual adds count as zero. Reported
 numbers are per input image.
+
+A report is priced from the template's geometry plan
+(`space.geometry_plan`): each call resolves only the conv/fc widths, and
+the uniform-1x baseline is priced once per template instance and kept on
+the plan.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .space import ExpansionCode, layer_geometry, uniform_code, validate_code
+from .space import ExpansionCode, GeometryPlan, geometry_plan, uniform_code, validate_code
 from .templates import NetworkTemplate
 
 BINARY_SPEEDUP = 64
@@ -40,27 +43,22 @@ class CostReport:
     weight_bits: int
 
 
-def _weighted(template: NetworkTemplate, code: ExpansionCode):
-    """(spec, MACs, weight count) of each conv/fc layer, in execution order.
+def _priced(plan: GeometryPlan, code: ExpansionCode, binary: bool) -> tuple[list[LayerCost], int]:
+    """Per-layer costs and weight bits of a validated code, in execution order.
 
     Each weight is used once per output position: h_out * w_out times for
     a conv, once for an fc.
     """
-    for geom in layer_geometry(template, code):
-        if "weight" in geom.shapes:
-            weights = math.prod(geom.shapes["weight"])
-            yield geom.spec, weights * geom.h_out * geom.w_out, weights
-
-
-def _flops(macs: int, binarized: bool) -> float:
-    return macs / BINARY_SPEEDUP if binarized else float(macs)
-
-
-@functools.cache
-def _baseline(template: NetworkTemplate) -> tuple[float, float]:
-    """FLOPs of the uniform-1x network: (binary, full precision)."""
-    base = list(_weighted(template, uniform_code(1, template.n_genes)))
-    return sum(_flops(macs, spec.binarized) for spec, macs, _ in base), sum(float(macs) for _, macs, _ in base)
+    counts = plan.channels(code)
+    layers = []
+    weight_bits = 0
+    for spec, cin, cout, per_pair, positions in plan.weighted:
+        weights = counts[cin] * counts[cout] * per_pair
+        macs = weights * positions
+        one_bit = binary and spec.binarized
+        layers.append(LayerCost(spec.name, spec.kind, one_bit, macs, macs / BINARY_SPEEDUP if one_bit else float(macs)))
+        weight_bits += weights + 32 if one_bit else 32 * weights
+    return layers, weight_bits
 
 
 def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = True) -> CostReport:
@@ -74,14 +72,13 @@ def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = 
     layer. Biases and norm parameters are not modeled.
     """
     code = validate_code(code, template.n_genes)
-    layers = []
-    weight_bits = 0
-    for spec, macs, weights in _weighted(template, code):
-        one_bit = binary and spec.binarized
-        layers.append(LayerCost(spec.name, spec.kind, one_bit, macs, _flops(macs, one_bit)))
-        weight_bits += weights + 32 if one_bit else 32 * weights
+    plan = geometry_plan(template)
+    layers, weight_bits = _priced(plan, code, binary)
     total = sum(layer.flops for layer in layers)
-    base_binary, base_full = _baseline(template)
+    if plan.baseline is None:
+        one = uniform_code(1, template.n_genes)
+        plan.baseline = tuple(sum(layer.flops for layer in _priced(plan, one, b)[0]) for b in (True, False))
+    base_binary, base_full = plan.baseline
     return CostReport(
         template=template.name,
         code=code,

@@ -25,7 +25,7 @@ from . import ops
 from .errors import InputError, ShapeError
 from .quant import binarize_activations, binarize_weights, ste_activation_grad, ste_weight_grad
 from .seeding import rng_from
-from .space import ExpansionCode, layer_geometry, validate_code
+from .space import ExpansionCode, layer_geometry
 from .templates import BlockSpec, LayerSpec, NetworkTemplate
 
 
@@ -191,9 +191,10 @@ class Network:
 
     def __init__(self, template: NetworkTemplate, code, seed: int):
         self.template = template
-        self.code: ExpansionCode = validate_code(code, template.n_genes)
+        code = tuple(code)
+        geoms = layer_geometry(template, code)  # validates the code
+        self.code: ExpansionCode = tuple(map(float, code))
         self.seed = int(seed)
-        geoms = layer_geometry(template, self.code)
         self.channels = {g.spec.name: (g.in_ch, g.out_ch) for g in geoms}
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}

@@ -124,7 +124,7 @@ class SearchLogRecord:
     random_parents: bool = False
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
+        payload = {key: getattr(self, key) for key in _RECORD_HINTS}
         payload["code"] = ratio_list(self.code)
         return json.dumps(payload, sort_keys=True)
 
@@ -215,8 +215,8 @@ def evaluate_candidate(
     `config.proxy_epochs` epochs at the `TrainConfig` defaults. A training
     divergence is not fatal; the candidate scores accuracy 0 and is flagged.
     """
-    code = validate_code(code, template.n_genes)
     cost = count_cost(template, code)
+    code = cost.code
     base = train_config if train_config is not None else TrainConfig(epochs=config.proxy_epochs)
     proxy_cfg = dataclasses.replace(base, seed=derive_seed(eval_seed, "train"))
     net = instantiate(template, code, seed=derive_seed(eval_seed, "init"))

@@ -1,11 +1,16 @@
 """Expansion codes and their application to network templates.
 
 An expansion code is one ratio per gene, drawn from the fixed candidate
-set. `layer_geometry` turns (template, code) into concrete per-layer
-channel counts, spatial extents and parameter shapes, enforcing the
-residual tying rules, in one walk that the cost model, the network
-builder and checkpoint slicing share; `resolve_channels` is its channel
-view.
+set. The walk over a template comes in two parts. `GeometryPlan` holds
+what no code changes: every layer's spatial extent, kernel, fc bias rule
+and projection placement, and where its channel counts come from (a gene
+times a base width, or a fixed count). It is built once per template
+instance, on first use, and kept on the instance. Per call,
+`layer_geometry` validates the code once and resolves the plan into
+per-layer channel counts, extents and parameter shapes, enforcing the
+residual tying rules; the network builder and checkpoint slicing read
+it, and `resolve_channels` is its channel view. The cost model resolves
+only the plan's conv/fc entries.
 """
 
 from __future__ import annotations
@@ -25,12 +30,19 @@ RATIOS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
 ExpansionCode = tuple[float, ...]
 
 
+_RATIO_SET = frozenset(RATIOS)
+
+
 def validate_code(code: Iterable[float], n_genes: int | None = None) -> ExpansionCode:
     code = tuple(code)
     for i, r in enumerate(code):
-        if isinstance(r, bool) or not isinstance(r, numbers.Real) or r not in RATIOS:
-            raise InputError(f"ratio {r!r} at gene {i} is not one of {RATIOS}")
-    code = tuple(float(r) for r in code)
+        if type(r) is float or type(r) is int:  # exact types: a set lookup suffices
+            if r in _RATIO_SET:
+                continue
+        elif not isinstance(r, bool) and isinstance(r, numbers.Real) and r in RATIOS:
+            continue
+        raise InputError(f"ratio {r!r} at gene {i} is not one of {RATIOS}")
+    code = tuple(map(float, code))
     if n_genes is not None and len(code) != n_genes:
         raise InputError(f"code has {len(code)} genes, template expects {n_genes}")
     return code
@@ -77,6 +89,152 @@ def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
+class GeometryPlan:
+    """The part of the geometry walk that no code changes, for one template.
+
+    `entries` holds every executed layer in walk order as (spec, in
+    source, out source, h_out, w_out, fc input extent, fc bias flag,
+    proj_of). `weighted` holds every conv/fc entry as (spec, in source,
+    out source, weights per in/out channel pair, output positions). A
+    source indexes the vector `channels` returns: gene widths by gene
+    index, then fixed counts (the image channels, an ungened fc's width).
+
+    `steps` lists, in walk order, every check a code can fail: each gene
+    width, each identity tie whose two sides can differ, and the first
+    structural error, where the walk stopped. A plan with no tie or error
+    that reads every gene resolves widths from per-gene tables; any other
+    plan runs the steps on each call, so every error keeps the walk's
+    order and message.
+
+    `baseline` belongs to the cost model: the uniform-1x FLOPs, kept here
+    so they are priced once per template instance.
+    """
+
+    __slots__ = ("entries", "weighted", "fixed", "steps", "tables", "baseline")
+
+    def __init__(self, template: NetworkTemplate):
+        self.entries: list[tuple] = []
+        self.weighted: list[tuple] = []
+        self.steps: list[tuple] = []
+        self.baseline: tuple[float, float] | None = None
+        n = template.n_genes
+        self.fixed = fixed = [template.input_shape[0]]
+        c = n  # source of the current channel count
+        h, w = template.input_shape[1:]
+        block_inputs: dict[str, int] = {}
+        try:
+            for i, spec in enumerate(template.layers):
+                block = template.block_at(i)
+                if block is not None and i == block.first_layer:
+                    block_inputs[block.name] = c
+                cin = c
+                if spec.kind == "conv":
+                    if spec.gene_index is not None:
+                        c = self._gene(spec)
+                    elif block is None or block.proj_conv is not None:
+                        raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
+                    else:
+                        c = block_inputs[block.name]
+                    h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
+                    w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
+                    self._conv_entry(spec, cin, c, h, w)
+                elif spec.kind == "fc":
+                    if spec.gene_index is not None:
+                        c = self._gene(spec)
+                    else:
+                        c = n + len(fixed)
+                        fixed.append(spec.base_out)
+                    bias = i + 1 == len(template.layers) or template.layers[i + 1].kind != "bn"
+                    self.entries.append((spec, cin, c, 1, 1, h * w, bias, None))
+                    self.weighted.append((spec, cin, c, h * w, 1))
+                    h = w = 1
+                elif spec.kind == "pool":
+                    if spec.pool_op == "global_avg":
+                        h = w = 1
+                    else:
+                        h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
+                        w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
+                    self.entries.append((spec, c, c, h, w, 0, False, None))
+                elif spec.kind == "residual-add":
+                    shortcut = block_inputs[block.name]
+                    if block.proj_conv is not None:
+                        self._conv_entry(block.proj_conv, shortcut, c, h, w, proj_of=block.name)
+                        self.entries.append((block.proj_bn, c, c, h, w, 0, False, block.name))
+                    elif shortcut != c:
+                        self.steps.append(("tie", block.name, shortcut, c))
+                    self.entries.append((spec, c, c, h, w, 0, False, None))
+                else:  # bn, act
+                    self.entries.append((spec, c, c, h, w, 0, False, None))
+        except InputError as e:
+            self.steps.append(("error", str(e)))
+        self.tables = None
+        if [step[0] for step in self.steps] == ["gene"] * n:
+            try:
+                tables = [None] * n
+                for _, gene, base in self.steps:
+                    tables[gene] = {r: _scaled(r, base) for r in RATIOS}
+                self.tables = tables
+            except InputError:
+                pass
+
+    def _gene(self, spec: LayerSpec) -> int:
+        self.steps.append(("gene", spec.gene_index, spec.base_out))
+        return spec.gene_index
+
+    def _conv_entry(self, spec: LayerSpec, cin: int, c: int, h: int, w: int, proj_of: str | None = None) -> None:
+        self.entries.append((spec, cin, c, h, w, 0, False, proj_of))
+        self.weighted.append((spec, cin, c, spec.kernel[0] * spec.kernel[1], h * w))
+
+    def channels(self, code: ExpansionCode) -> list[int]:
+        """The channel count of every source, for a validated code."""
+        if self.tables is not None:
+            return [table[r] for table, r in zip(self.tables, code)] + self.fixed
+        counts = [0] * len(code) + self.fixed
+        for kind, *args in self.steps:
+            if kind == "gene":
+                gene, base = args
+                counts[gene] = _scaled(code[gene], base)
+            elif kind == "tie":
+                block, shortcut, c = args
+                if counts[shortcut] != counts[c]:
+                    raise InputError(f"identity shortcut of block '{block}' sees {counts[shortcut]} vs {counts[c]} channels")
+            else:
+                raise InputError(args[0])
+        return counts
+
+    def layers(self, code: ExpansionCode) -> list[LayerGeom]:
+        """Every entry's `LayerGeom`, for a validated code."""
+        counts = self.channels(code)
+        geoms = []
+        for spec, i, o, h, w, extent, bias, proj_of in self.entries:
+            cin, c = counts[i], counts[o]
+            n_in = 0
+            if spec.kind == "conv":
+                shapes = {"weight": (c, cin, *spec.kernel)}
+            elif spec.kind == "fc":
+                n_in = cin * extent
+                shapes = {"weight": (n_in, c), "bias": (c,)} if bias else {"weight": (n_in, c)}
+            elif spec.kind == "bn":
+                shapes = _norm_shapes(c)
+            else:
+                shapes = {}
+            geoms.append(LayerGeom(spec, cin, c, h, w, shapes, n_in, proj_of))
+        return geoms
+
+
+def geometry_plan(template: NetworkTemplate) -> GeometryPlan:
+    """The plan of `template`, built on first use and kept on the instance.
+
+    Keyed by the instance, not by value: a frozen template never changes,
+    and an attribute read costs no hash of its layers.
+    """
+    plan = template.__dict__.get("_geometry_plan")
+    if plan is None:
+        plan = GeometryPlan(template)
+        object.__setattr__(template, "_geometry_plan", plan)
+    return plan
+
+
 def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[LayerGeom]:
     """Execution-ordered channels, extents and array shapes; projection
     entries precede their add.
@@ -93,58 +251,15 @@ def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[Lay
     Convs carry no bias because a norm layer always follows them.
     """
     code = validate_code(code, template.n_genes)
-    geoms: list[LayerGeom] = []
-    c, h, w = template.input_shape
-    block_inputs: dict[str, int] = {}
-    for i, spec in enumerate(template.layers):
-        block = template.block_at(i)
-        if block is not None and i == block.first_layer:
-            block_inputs[block.name] = c
-        cin = c
-        if spec.kind == "conv":
-            if spec.gene_index is not None:
-                c = _scaled(code[spec.gene_index], spec.base_out)
-            elif block is None or block.proj_conv is not None:
-                raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
-            else:
-                c = block_inputs[block.name]
-            h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
-            w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(LayerGeom(spec, cin, c, h, w, {"weight": (c, cin, *spec.kernel)}))
-        elif spec.kind == "fc":
-            c = _scaled(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
-            n_in = cin * h * w
-            shapes = {"weight": (n_in, c)}
-            if i + 1 == len(template.layers) or template.layers[i + 1].kind != "bn":
-                shapes["bias"] = (c,)
-            geoms.append(LayerGeom(spec, cin, c, 1, 1, shapes, in_features=n_in))
-            h = w = 1
-        elif spec.kind == "pool":
-            if spec.pool_op == "global_avg":
-                h = w = 1
-            else:
-                h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
-                w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(LayerGeom(spec, c, c, h, w, {}))
-        elif spec.kind == "residual-add":
-            shortcut = block_inputs[block.name]
-            if block.proj_conv is not None:
-                geoms.append(LayerGeom(block.proj_conv, shortcut, c, h, w,
-                                       {"weight": (c, shortcut, *block.proj_conv.kernel)}, proj_of=block.name))
-                geoms.append(LayerGeom(block.proj_bn, c, c, h, w, _norm_shapes(c), proj_of=block.name))
-            elif shortcut != c:
-                raise InputError(f"identity shortcut of block '{block.name}' sees {shortcut} vs {c} channels")
-            geoms.append(LayerGeom(spec, c, c, h, w, {}))
-        elif spec.kind == "bn":
-            geoms.append(LayerGeom(spec, c, c, h, w, _norm_shapes(c)))
-        else:  # act
-            geoms.append(LayerGeom(spec, c, c, h, w, {}))
-    return geoms
+    return geometry_plan(template).layers(code)
 
 
 def resolve_channels(template: NetworkTemplate, code: Iterable[float]) -> dict[str, tuple[int, int]]:
     """Per-layer (in, out) channel counts, projection shortcuts included."""
-    return {g.spec.name: (g.in_ch, g.out_ch) for g in layer_geometry(template, code)}
+    code = validate_code(code, template.n_genes)
+    plan = geometry_plan(template)
+    counts = plan.channels(code)
+    return {entry[0].name: (counts[entry[1]], counts[entry[2]]) for entry in plan.entries}
 
 
 def ratio_list(code: Iterable[float]) -> list:

@@ -1,11 +1,15 @@
-"""Shared test oracles: loop-based references, finite differences, and the
-network's binary act -> conv path with its differentiable surrogate."""
+"""Shared test oracles: loop-based references, finite differences, the
+network's binary act -> conv path with its differentiable surrogate, and
+the per-call geometry walk and pricing that the geometry plan replaced."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from binwidth import net, ops, templates
+from binwidth import cost, net, ops, space, templates
+from binwidth.errors import InputError
 
 
 def conv2d_loops(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -157,3 +161,112 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, train, gout,
     else:
         gx = gxhat * r(inv_std)
     return out, gx.astype(gout.dtype, copy=False), ggamma, gbeta
+
+
+# --- per-call geometry walk and pricing ----------------------------------------
+
+
+def _scaled_reference(ratio: float, base: int) -> int:
+    value = ratio * base
+    width = int(round(value))
+    if abs(value - width) > 1e-9 or width < 1:
+        raise InputError(f"ratio {ratio} on base {base} does not give a positive integer width")
+    return width
+
+
+def _conv_out_reference(size: int, k: int, stride: int, pad: int) -> int:
+    if size + 2 * pad < k:
+        raise InputError(f"kernel {k} exceeds padded extent {size + 2 * pad}")
+    return (size + 2 * pad - k) // stride + 1
+
+
+def _norm_shapes_reference(c: int) -> dict:
+    return {"gamma": (c,), "beta": (c,), "running_mean": (c,), "running_var": (c,)}
+
+
+def layer_geometry_reference(template, code) -> list:
+    """The whole walk on every call: the oracle for `space.layer_geometry`."""
+    code = space.validate_code(code, template.n_genes)
+    geoms = []
+    c, h, w = template.input_shape
+    block_inputs = {}
+    for i, spec in enumerate(template.layers):
+        block = template.block_at(i)
+        if block is not None and i == block.first_layer:
+            block_inputs[block.name] = c
+        cin = c
+        if spec.kind == "conv":
+            if spec.gene_index is not None:
+                c = _scaled_reference(code[spec.gene_index], spec.base_out)
+            elif block is None or block.proj_conv is not None:
+                raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
+            else:
+                c = block_inputs[block.name]
+            h = _conv_out_reference(h, spec.kernel[0], spec.stride, spec.pad)
+            w = _conv_out_reference(w, spec.kernel[1], spec.stride, spec.pad)
+            geoms.append(space.LayerGeom(spec, cin, c, h, w, {"weight": (c, cin, *spec.kernel)}))
+        elif spec.kind == "fc":
+            c = _scaled_reference(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
+            n_in = cin * h * w
+            shapes = {"weight": (n_in, c)}
+            if i + 1 == len(template.layers) or template.layers[i + 1].kind != "bn":
+                shapes["bias"] = (c,)
+            geoms.append(space.LayerGeom(spec, cin, c, 1, 1, shapes, in_features=n_in))
+            h = w = 1
+        elif spec.kind == "pool":
+            if spec.pool_op == "global_avg":
+                h = w = 1
+            else:
+                h = _conv_out_reference(h, spec.kernel[0], spec.stride, spec.pad)
+                w = _conv_out_reference(w, spec.kernel[1], spec.stride, spec.pad)
+            geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
+        elif spec.kind == "residual-add":
+            shortcut = block_inputs[block.name]
+            if block.proj_conv is not None:
+                geoms.append(space.LayerGeom(block.proj_conv, shortcut, c, h, w,
+                                             {"weight": (c, shortcut, *block.proj_conv.kernel)}, proj_of=block.name))
+                geoms.append(space.LayerGeom(block.proj_bn, c, c, h, w, _norm_shapes_reference(c), proj_of=block.name))
+            elif shortcut != c:
+                raise InputError(f"identity shortcut of block '{block.name}' sees {shortcut} vs {c} channels")
+            geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
+        elif spec.kind == "bn":
+            geoms.append(space.LayerGeom(spec, c, c, h, w, _norm_shapes_reference(c)))
+        else:  # act
+            geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
+    return geoms
+
+
+def _weighted_reference(template, code):
+    for geom in layer_geometry_reference(template, code):
+        if "weight" in geom.shapes:
+            weights = math.prod(geom.shapes["weight"])
+            yield geom.spec, weights * geom.h_out * geom.w_out, weights
+
+
+def _flops_reference(macs: int, binarized: bool) -> float:
+    return macs / cost.BINARY_SPEEDUP if binarized else float(macs)
+
+
+def count_cost_reference(template, code, binary: bool = True):
+    """A fresh walk per report and per baseline: the oracle for `cost.count_cost`."""
+    code = space.validate_code(code, template.n_genes)
+    layers = []
+    weight_bits = 0
+    for spec, macs, weights in _weighted_reference(template, code):
+        one_bit = binary and spec.binarized
+        layers.append(cost.LayerCost(spec.name, spec.kind, one_bit, macs, _flops_reference(macs, one_bit)))
+        weight_bits += weights + 32 if one_bit else 32 * weights
+    total = sum(layer.flops for layer in layers)
+    base = list(_weighted_reference(template, space.uniform_code(1, template.n_genes)))
+    base_binary = sum(_flops_reference(macs, spec.binarized) for spec, macs, _ in base)
+    base_full = sum(float(macs) for _, macs, _ in base)
+    return cost.CostReport(
+        template=template.name,
+        code=code,
+        binary=binary,
+        layers=tuple(layers),
+        flops=total,
+        flops_norm=total / base_binary,
+        speedup=base_full / total,
+        weight_bits=weight_bits,
+    )

@@ -1,5 +1,7 @@
 """Operation-count model: MACs, normalized cost, speedup, weight bits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from binwidth import cost, space, templates
 from binwidth import net as net_mod
+from binwidth.errors import InputError
+from helpers import count_cost_reference, layer_geometry_reference
 
 ratio = st.sampled_from(space.RATIOS)
 
@@ -148,3 +152,110 @@ class TestWeightBits:
         b = cost.count_cost(t, code).weight_bits
         f = cost.count_cost(t, code, binary=False).weight_bits
         assert f > 5 * b
+
+
+def _exact(value):
+    """`value` with every float as its hex string and every type named, so
+    equal results are equal bit for bit and field for field."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__,) + tuple(_exact(v) for v in value)
+    if isinstance(value, dict):
+        return ("dict",) + tuple((k, _exact(v)) for k, v in value.items())
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(_exact(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return (type(value).__name__, value)
+
+
+class TestReferenceWalk:
+    """The geometry plan against the per-call walk it replaced (`helpers`)."""
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("name", sorted(templates.TEMPLATES))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reports_and_geometry_match_the_walk(self, name, binary, data):
+        t = templates.get_template(name)
+        # Past 2**24 pixels a side, MAC counts outgrow a float's 53 bits, so
+        # the order in which layer FLOPs are summed shows in the totals.
+        extent = data.draw(st.one_of(st.none(), st.tuples(st.integers(2**24, 2**30), st.integers(2**24, 2**30))))
+        if extent is not None:
+            t = dataclasses.replace(t, input_shape=(t.input_shape[0], *extent))
+        code = data.draw(st.tuples(*([ratio] * t.n_genes)))
+        assert _exact(cost.count_cost(t, code, binary=binary)) == _exact(count_cost_reference(t, code, binary=binary))
+        assert _exact(space.layer_geometry(t, code)) == _exact(layer_geometry_reference(t, code))
+
+    @pytest.mark.parametrize("base, stem", [(16, 0.5), (16, 1.0), (32, 2.0)],
+                             ids=["tie_broken", "tie_held", "tie_held_baseline_broken"])
+    def test_per_code_tie_check_matches_the_walk(self, base, stem):
+        # A gene on resnet_mini's identity-block output conv: the tie to the
+        # block input then holds for some codes only, and the uniform-1x
+        # baseline breaks it when the two base widths differ.
+        t = templates.resnet_mini()
+        layers = tuple(dataclasses.replace(l, base_out=base, gene_index=t.n_genes) if l.name == "s1b1_conv2" else l
+                       for l in t.layers)
+        t = dataclasses.replace(t, layers=layers, n_genes=t.n_genes + 1)
+        code = (stem,) + (1.0,) * (t.n_genes - 1)
+
+        def outcome(call):
+            try:
+                return _exact(call(t, code))
+            except InputError as e:
+                return str(e)
+
+        geometry = outcome(space.layer_geometry)
+        assert geometry == outcome(layer_geometry_reference)
+        assert isinstance(geometry, str) == (stem == 0.5)
+        priced = outcome(cost.count_cost)
+        assert priced == outcome(count_cost_reference)
+        assert isinstance(priced, str) == (stem != 1.0)
+
+    def test_structural_error_keeps_the_walks_message(self):
+        t = templates.vgg_small_mini()
+        layers = list(t.layers)
+        layers[0] = dataclasses.replace(layers[0], kernel=(31, 31), pad=0)  # wider than the 28x28 input
+        t = dataclasses.replace(t, layers=tuple(layers))
+        code = space.uniform_code(1, t.n_genes)
+        with pytest.raises(InputError) as want:
+            layer_geometry_reference(t, code)
+        for call in (space.layer_geometry, cost.count_cost, space.layer_geometry):  # and again, from the plan
+            with pytest.raises(InputError) as got:
+                call(t, code)
+            assert str(got.value) == str(want.value) == "kernel 31 exceeds padded extent 28"
+
+
+class TestPlanPerInstance:
+    """The plan is found through the template instance, never its value."""
+
+    def test_no_template_hash_or_compare(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("template hashed or compared")
+
+        code = (0.5, 2.0, 1.0, 4.0, 0.25, 3.0, 1.0)
+        for t in (templates.vgg_small(), templates.vgg_small()):
+            with monkeypatch.context() as m:
+                m.setattr(templates.NetworkTemplate, "__hash__", refuse)
+                m.setattr(templates.NetworkTemplate, "__eq__", refuse)
+                reports = [cost.count_cost(t, code, binary=b) for b in (True, False)]
+                geoms = space.layer_geometry(t, code)
+            assert _exact(reports) == _exact([count_cost_reference(t, code, binary=b) for b in (True, False)])
+            assert _exact(geoms) == _exact(layer_geometry_reference(t, code))
+
+    def test_same_name_different_width_prices_apart(self):
+        t = templates.vgg_small_mini()
+        wider = dataclasses.replace(
+            t, layers=tuple(dataclasses.replace(l, base_out=64) if l.name == "conv3" else l for l in t.layers))
+        assert wider.name == t.name
+        code = space.uniform_code(2, t.n_genes)
+        a, b = cost.count_cost(t, code), cost.count_cost(wider, code)
+        assert a.flops < b.flops and a.weight_bits < b.weight_bits
+        assert _exact(b) == _exact(count_cost_reference(wider, code))
+        assert _exact(cost.count_cost(t, code)) == _exact(a)
+
+    def test_fresh_equal_instance_gets_the_identical_report(self):
+        code = (2.0, 0.25, 1.0, 3.0, 4.0, 0.5, 1.0, 2.0, 0.5, 4.0, 1.0, 0.25)
+        first = cost.count_cost(templates.resnet18(), code)
+        fresh = templates.resnet18()
+        assert _exact(cost.count_cost(fresh, code)) == _exact(first)
+        assert repr(cost.count_cost(fresh, code)) == repr(first)

@@ -1,5 +1,8 @@
 """Templates, expansion codes, channel resolution, and geometry."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,11 +93,20 @@ class TestCodes:
         with pytest.raises(InputError):
             space.validate_code((1.0, 2.0), n_genes=3)
 
-    @pytest.mark.parametrize("code", [(1.0, 0.3), ["a"], [None], ["1"], [True], [[1.0]]],
-                             ids=["foreign_float", "string", "null", "numeric_string", "bool", "list"])
+    @pytest.mark.parametrize(
+        "code",
+        [(1.0, 0.3), ["a"], [None], ["1"], [True], [[1.0]], [np.True_], [Decimal("0.5")], [float("nan")]],
+        ids=["foreign_float", "string", "null", "numeric_string", "bool", "list", "numpy_bool", "decimal", "nan"])
     def test_validate_rejects_foreign_ratio(self, code):
         with pytest.raises(InputError):
             space.validate_code(code)
+
+    @pytest.mark.parametrize("ratio, value", [(np.float32(0.25), 0.25), (np.int64(2), 2.0), (Fraction(1, 4), 0.25)],
+                             ids=["numpy_float32", "numpy_int64", "fraction"])
+    def test_validate_accepts_other_real_ratios_as_floats(self, ratio, value):
+        code = space.validate_code([1, ratio])
+        assert code == (1.0, value)
+        assert all(type(r) is float for r in code)
 
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
