@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError
-from .space import ExpansionCode, layer_geometry, ratio_list, uniform_code, validate_code
+from .space import ExpansionCode, geometry_plan, ratio_list, uniform_code, validate_code
 from .templates import NetworkTemplate
 
 MAGIC = b"BNASCKPT"
@@ -171,14 +171,14 @@ def inherit_weights(supernet: Checkpoint, template: NetworkTemplate, code) -> Ch
     vectors [c]. No ratio exceeds 4, so every child extent fits. With the
     all-4 code the result is an unchanged copy.
     """
-    code = tuple(code)
-    target = {g.spec.name: g.shapes for g in layer_geometry(template, code)}  # validates the code
-    code = tuple(map(float, code))
+    code = validate_code(code, template.n_genes)
     if supernet.template != template.name:
         raise InputError(f"supernet is for template '{supernet.template}', not '{template.name}'")
     if supernet.code != uniform_code(4, template.n_genes):
         raise InputError(f"supernet code {supernet.code} is not uniform 4x")
-    source = {g.spec.name: g.shapes for g in layer_geometry(template, supernet.code)}
+    plan = geometry_plan(template)
+    target = {g.spec.name: g.shapes for g in plan.layers(code)}
+    source = {g.spec.name: g.shapes for g in plan.layers(supernet.code)}
     sliced: dict[str, np.ndarray] = {}
     for name, arr in supernet.arrays.items():
         layer, _, field = name.rpartition(".")

@@ -6,9 +6,9 @@ batch norm, activations, and residual adds count as zero. Reported
 numbers are per input image.
 
 A report is priced from the template's geometry plan
-(`space.geometry_plan`): each call resolves only the conv/fc widths, and
-the uniform-1x baseline is priced once per template instance and kept on
-the plan.
+(`space.geometry_plan`): each call resolves only the conv/fc widths. The
+uniform-1x baseline is priced once per template instance and kept on the
+instance, like the plan.
 """
 
 from __future__ import annotations
@@ -61,6 +61,17 @@ def _priced(plan: GeometryPlan, code: ExpansionCode, binary: bool) -> tuple[list
     return layers, weight_bits
 
 
+def _baseline(template: NetworkTemplate, plan: GeometryPlan) -> tuple[float, float]:
+    """Binary and full-precision FLOPs of the uniform-1x code, priced on
+    first use and kept on the template instance."""
+    baseline = template.__dict__.get("_cost_baseline")
+    if baseline is None:
+        one = uniform_code(1, template.n_genes)
+        baseline = tuple(sum(layer.flops for layer in _priced(plan, one, b)[0]) for b in (True, False))
+        object.__setattr__(template, "_cost_baseline", baseline)
+    return baseline
+
+
 def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = True) -> CostReport:
     """Cost report for (template, code).
 
@@ -75,10 +86,7 @@ def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = 
     plan = geometry_plan(template)
     layers, weight_bits = _priced(plan, code, binary)
     total = sum(layer.flops for layer in layers)
-    if plan.baseline is None:
-        one = uniform_code(1, template.n_genes)
-        plan.baseline = tuple(sum(layer.flops for layer in _priced(plan, one, b)[0]) for b in (True, False))
-    base_binary, base_full = plan.baseline
+    base_binary, base_full = _baseline(template, plan)
     return CostReport(
         template=template.name,
         code=code,

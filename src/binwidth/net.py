@@ -11,8 +11,9 @@ so the data entering a binary conv/fc is already 1-bit. These units are
 the package's only binary conv/fc path: training runs them, and the
 straight-through gradient checks run against them.
 
-Which arrays a layer owns, and their shapes, come from
-`space.layer_geometry`; the network creates them in its walk order.
+Which arrays a layer owns, and their shapes, come from the template's
+geometry plan (`space.GeometryPlan.layers`, the walk behind
+`space.layer_geometry`); the network creates them in its walk order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import ops
 from .errors import InputError, ShapeError
 from .quant import binarize_activations, binarize_weights, ste_activation_grad, ste_weight_grad
 from .seeding import rng_from
-from .space import ExpansionCode, layer_geometry
+from .space import ExpansionCode, geometry_plan, validate_code
 from .templates import BlockSpec, LayerSpec, NetworkTemplate
 
 
@@ -191,10 +192,9 @@ class Network:
 
     def __init__(self, template: NetworkTemplate, code, seed: int):
         self.template = template
-        code = tuple(code)
-        geoms = layer_geometry(template, code)  # validates the code
-        self.code: ExpansionCode = tuple(map(float, code))
+        self.code: ExpansionCode = validate_code(code, template.n_genes)
         self.seed = int(seed)
+        geoms = geometry_plan(template).layers(self.code)
         self.channels = {g.spec.name: (g.in_ch, g.out_ch) for g in geoms}
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}

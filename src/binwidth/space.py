@@ -8,9 +8,10 @@ times a base width, or a fixed count). It is built once per template
 instance, on first use, and kept on the instance. Per call,
 `layer_geometry` validates the code once and resolves the plan into
 per-layer channel counts, extents and parameter shapes, enforcing the
-residual tying rules; the network builder and checkpoint slicing read
-it, and `resolve_channels` is its channel view. The cost model resolves
-only the plan's conv/fc entries.
+residual tying rules; `resolve_channels` is its channel view. The
+network builder and checkpoint slicing validate the code themselves and
+resolve the plan (`GeometryPlan.layers`); the cost model resolves only
+the plan's conv/fc entries.
 """
 
 from __future__ import annotations
@@ -101,22 +102,16 @@ class GeometryPlan:
 
     `steps` lists, in walk order, every check a code can fail: each gene
     width, each identity tie whose two sides can differ, and the first
-    structural error, where the walk stopped. A plan with no tie or error
-    that reads every gene resolves widths from per-gene tables; any other
-    plan runs the steps on each call, so every error keeps the walk's
-    order and message.
-
-    `baseline` belongs to the cost model: the uniform-1x FLOPs, kept here
-    so they are priced once per template instance.
+    structural error, where the walk stopped. `channels` runs them on
+    each call, so every error keeps the walk's order and message.
     """
 
-    __slots__ = ("entries", "weighted", "fixed", "steps", "tables", "baseline")
+    __slots__ = ("entries", "weighted", "fixed", "steps")
 
     def __init__(self, template: NetworkTemplate):
         self.entries: list[tuple] = []
         self.weighted: list[tuple] = []
         self.steps: list[tuple] = []
-        self.baseline: tuple[float, float] | None = None
         n = template.n_genes
         self.fixed = fixed = [template.input_shape[0]]
         c = n  # source of the current channel count
@@ -167,15 +162,6 @@ class GeometryPlan:
                     self.entries.append((spec, c, c, h, w, 0, False, None))
         except InputError as e:
             self.steps.append(("error", str(e)))
-        self.tables = None
-        if [step[0] for step in self.steps] == ["gene"] * n:
-            try:
-                tables = [None] * n
-                for _, gene, base in self.steps:
-                    tables[gene] = {r: _scaled(r, base) for r in RATIOS}
-                self.tables = tables
-            except InputError:
-                pass
 
     def _gene(self, spec: LayerSpec) -> int:
         self.steps.append(("gene", spec.gene_index, spec.base_out))
@@ -187,8 +173,6 @@ class GeometryPlan:
 
     def channels(self, code: ExpansionCode) -> list[int]:
         """The channel count of every source, for a validated code."""
-        if self.tables is not None:
-            return [table[r] for table, r in zip(self.tables, code)] + self.fixed
         counts = [0] * len(code) + self.fixed
         for kind, *args in self.steps:
             if kind == "gene":
@@ -256,10 +240,7 @@ def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[Lay
 
 def resolve_channels(template: NetworkTemplate, code: Iterable[float]) -> dict[str, tuple[int, int]]:
     """Per-layer (in, out) channel counts, projection shortcuts included."""
-    code = validate_code(code, template.n_genes)
-    plan = geometry_plan(template)
-    counts = plan.channels(code)
-    return {entry[0].name: (counts[entry[1]], counts[entry[2]]) for entry in plan.entries}
+    return {g.spec.name: (g.in_ch, g.out_ch) for g in layer_geometry(template, code)}
 
 
 def ratio_list(code: Iterable[float]) -> list:

@@ -1,5 +1,6 @@
 """Checkpoint binary format and supernet weight inheritance."""
 
+import dataclasses
 import json
 import struct
 
@@ -261,6 +262,19 @@ class TestInheritance:
         t = templates.resnet_mini()
         with pytest.raises(InputError):
             ck.inherit_weights(sup, t, space.uniform_code(1, t.n_genes))
+
+    def test_supernet_checks_precede_the_child_walk(self):
+        # A gene on resnet_mini's identity-block output conv: stem 0.5 then
+        # breaks the tie to the block input, an error of the child's walk.
+        t = templates.resnet_mini()
+        layers = tuple(dataclasses.replace(l, base_out=16, gene_index=t.n_genes) if l.name == "s1b1_conv2" else l
+                       for l in t.layers)
+        t = dataclasses.replace(t, layers=layers, n_genes=t.n_genes + 1)
+        code = (0.5,) + (1.0,) * (t.n_genes - 1)
+        with pytest.raises(InputError, match="identity shortcut"):
+            space.layer_geometry(t, code)
+        with pytest.raises(InputError, match="supernet is for template 'vgg_small_mini', not 'resnet_mini'"):
+            ck.inherit_weights(supernet_for("vgg_small_mini"), t, code)
 
     def test_non_4x_supernet_rejected(self):
         t = templates.vgg_small_mini()
