@@ -89,15 +89,19 @@ def parse_mnist_idx(image_bytes: bytes, label_bytes: bytes, split: str = "train"
     return Dataset(pixels.astype(np.float32) / 255.0, labels, class_count=10, split=split)
 
 
-def serialize_mnist_idx(dataset: Dataset) -> tuple[bytes, bytes]:
-    """Inverse of parse_mnist_idx; exact for datasets that came from bytes."""
-    n, c, h, w = dataset.images.shape
+def pack_mnist_idx(pixels: np.ndarray, labels: np.ndarray) -> tuple[bytes, bytes]:
+    """uint8 images [N,1,H,W] and their labels as (image file bytes, label file bytes)."""
+    n, c, h, w = pixels.shape
     if c != 1:
         raise InputError(f"IDX serialization needs 1-channel images, got {c}")
-    pixels = np.rint(np.asarray(dataset.images) * 255.0).astype(np.uint8)
-    image_bytes = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w) + pixels.tobytes()
-    label_bytes = struct.pack(">II", IDX_LABEL_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes()
+    image_bytes = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w) + pixels.astype(np.uint8, copy=False).tobytes()
+    label_bytes = struct.pack(">II", IDX_LABEL_MAGIC, n) + labels.astype(np.uint8).tobytes()
     return image_bytes, label_bytes
+
+
+def serialize_mnist_idx(dataset: Dataset) -> tuple[bytes, bytes]:
+    """Inverse of parse_mnist_idx; exact for datasets that came from bytes."""
+    return pack_mnist_idx(np.rint(np.asarray(dataset.images) * 255.0).astype(np.uint8), dataset.labels)
 
 
 def parse_cifar10_bin(data: bytes, split: str = "train") -> Dataset:
@@ -117,50 +121,49 @@ def parse_cifar10_bin(data: bytes, split: str = "train") -> Dataset:
     return Dataset(images, labels, class_count=10, split=split)
 
 
+def pack_cifar10_bin(pixels: np.ndarray, labels: np.ndarray) -> bytes:
+    """uint8 images [N,3,32,32] and their labels as concatenated records."""
+    if pixels.shape[1:] != (3, 32, 32):
+        raise InputError(f"record serialization needs [N,3,32,32] images, got {pixels.shape}")
+    records = np.empty((pixels.shape[0], RGB_RECORD_BYTES), dtype=np.uint8)
+    records[:, 0] = labels
+    records[:, 1:] = pixels.reshape(pixels.shape[0], RGB_RECORD_BYTES - 1)
+    return records.tobytes()
+
+
 def serialize_cifar10_bin(dataset: Dataset) -> bytes:
     """Inverse of parse_cifar10_bin; exact for datasets that came from bytes."""
-    n, c, h, w = dataset.images.shape
-    if (c, h, w) != (3, 32, 32):
-        raise InputError(f"record serialization needs [N,3,32,32] images, got {dataset.images.shape}")
-    records = np.empty((n, RGB_RECORD_BYTES), dtype=np.uint8)
-    records[:, 0] = dataset.labels
-    records[:, 1:] = np.rint(np.asarray(dataset.images) * 255.0).astype(np.uint8).reshape(n, 3072)
-    return records.tobytes()
+    return pack_cifar10_bin(np.rint(np.asarray(dataset.images) * 255.0).astype(np.uint8), dataset.labels)
+
+
+def _stratified(dataset: Dataset, sizes: tuple[int, ...], splits: tuple[str, ...], seed: int) -> list[Dataset]:
+    """Each class's samples in one seeded shuffle, cut into runs of `sizes`;
+    run k of every class, in class order, forms a Dataset of split `splits[k]`."""
+    need = sum(sizes)
+    runs = [[] for _ in sizes]
+    for c in range(dataset.class_count):
+        idx = np.flatnonzero(dataset.labels == c)
+        if idx.size < need:
+            raise InputError(f"class {c} has {idx.size} samples, need {need}")
+        perm = idx[rng_from(seed, "class", c).permutation(idx.size)]
+        for run, part in zip(runs, np.split(perm[:need], np.cumsum(sizes)[:-1])):
+            run.append(part)
+    orders = [np.concatenate(run) for run in runs]
+    return [Dataset(dataset.images[o], dataset.labels[o], dataset.class_count, split) for o, split in zip(orders, splits)]
 
 
 def stratified_subset(dataset: Dataset, per_class: int, seed: int) -> Dataset:
     """Exactly per_class samples of every class, chosen by seeded shuffle."""
     if per_class < 1:
         raise InputError(f"per_class must be >= 1, got {per_class}")
-    picks = []
-    for c in range(dataset.class_count):
-        idx = np.flatnonzero(dataset.labels == c)
-        if idx.size < per_class:
-            raise InputError(f"class {c} has {idx.size} samples, need {per_class}")
-        rng = rng_from(seed, "class", c)
-        picks.append(idx[rng.permutation(idx.size)[:per_class]])
-    order = np.concatenate(picks)
-    return Dataset(dataset.images[order], dataset.labels[order], dataset.class_count, dataset.split)
+    return _stratified(dataset, (per_class,), (dataset.split,), seed)[0]
 
 
 def stratified_split(dataset: Dataset, per_class_a: int, per_class_b: int, seed: int) -> tuple[Dataset, Dataset]:
     """Two disjoint stratified subsets from one pool (e.g. proxy train/val)."""
     if per_class_a < 1 or per_class_b < 1:
         raise InputError("both split sizes must be >= 1")
-    first, second = [], []
-    for c in range(dataset.class_count):
-        idx = np.flatnonzero(dataset.labels == c)
-        if idx.size < per_class_a + per_class_b:
-            raise InputError(f"class {c} has {idx.size} samples, need {per_class_a + per_class_b}")
-        perm = idx[rng_from(seed, "class", c).permutation(idx.size)]
-        first.append(perm[:per_class_a])
-        second.append(perm[per_class_a : per_class_a + per_class_b])
-    a = np.concatenate(first)
-    b = np.concatenate(second)
-    return (
-        Dataset(dataset.images[a], dataset.labels[a], dataset.class_count, dataset.split),
-        Dataset(dataset.images[b], dataset.labels[b], dataset.class_count, "val"),
-    )
+    return tuple(_stratified(dataset, (per_class_a, per_class_b), (dataset.split, "val"), seed))
 
 
 def _stats_for(channels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,18 @@
 """Concrete networks: template + expansion code + seed -> trainable model.
 
 A Network owns flat name->array dicts for parameters, gradients, and
-batch-norm running stats, plus an execution list of layer units. Each
-unit keeps just enough context (its `ctx`) from a train-mode forward pass
-to run the matching backward pass, which consumes it. An eval-mode
-forward keeps no context, so no layer's input or intermediate outlives
-it. Layers marked binarized quantize their weights on every
-forward; activation quantization is an explicit layer in the templates,
-so the data entering a binary conv/fc is already 1-bit. These units are
-the package's only binary conv/fc path: training runs them, and the
-straight-through gradient checks run against them.
+batch-norm running stats, plus `units`, which forward runs in order and
+backward in reverse. Each layer is a `_Unit`: the base class alone keeps
+a kernel's ctx, only from a train-mode forward, and hands it once to the
+backward pass, which clears it, so an eval-mode forward leaves no input
+or intermediate behind. A residual block is one `_BlockUnit`: it owns its
+main-path and projection units and holds the block input as a local.
+
+Binarized layers quantize their weights on every forward; activation
+quantization is an explicit layer in the templates, so the data entering
+a binary conv/fc is already 1-bit. These units are the package's only
+binary conv/fc path: training runs them, and the straight-through
+gradient checks run against them.
 
 Which arrays a layer owns, and their shapes, come from the template's
 geometry plan (`space.GeometryPlan.layers`, the walk behind
@@ -26,161 +29,153 @@ from . import ops
 from .errors import InputError, ShapeError
 from .quant import binarize_activations, binarize_weights, ste_activation_grad, ste_weight_grad
 from .seeding import rng_from
-from .space import ExpansionCode, geometry_plan, validate_code
+from .space import ExpansionCode, geometry_plan, resolve_channels, validate_code
 from .templates import BlockSpec, LayerSpec, NetworkTemplate
 
 
-class _ConvUnit:
+class _Unit:
+    """One layer step; a subclass gives `_forward(net, x, train) -> (y, ctx)`
+    and `_backward(net, ctx, g) -> gx`. `forward` keeps the ctx only when
+    `train` is true; `backward` takes it once and clears it."""
+
     def __init__(self, spec: LayerSpec):
         self.spec = spec
-        self.key = spec.name + ".weight"
         self.ctx = None
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        w = net.params[self.key]
-        if self.spec.binarized:
-            w = binarize_weights(w).values
-        y, ctx = ops.conv2d_forward(x, w, self.spec.stride, self.spec.pad)
+        y, ctx = self._forward(net, x, train)
         self.ctx = ctx if train else None
         return y
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gx, gw = ops.conv2d_backward(self.ctx, g)
-        self.ctx = None
+        ctx, self.ctx = self.ctx, None
+        return self._backward(net, ctx, g)
+
+
+class _WeightedUnit(_Unit):
+    """A conv or fc. A binarized one binarizes its weight on every forward
+    and passes the weight gradient through the straight-through estimator."""
+
+    def __init__(self, spec: LayerSpec):
+        super().__init__(spec)
+        self.key = spec.name + ".weight"
+
+    def _weight(self, net: "Network") -> np.ndarray:
+        w = net.params[self.key]
+        return binarize_weights(w).values if self.spec.binarized else w
+
+    def _store_weight_grad(self, net: "Network", gw: np.ndarray) -> None:
         if self.spec.binarized:
             gw = ste_weight_grad(gw, net.params[self.key])
         net.grads[self.key] = gw
+
+
+class _ConvUnit(_WeightedUnit):
+    def _forward(self, net, x, train):
+        return ops.conv2d_forward(x, self._weight(net), self.spec.stride, self.spec.pad)
+
+    def _backward(self, net, ctx, g):
+        gx, gw = ops.conv2d_backward(ctx, g)
+        self._store_weight_grad(net, gw)
         return gx
 
 
-class _FCUnit:
+class _FCUnit(_WeightedUnit):
     def __init__(self, spec: LayerSpec, has_bias: bool):
-        self.spec = spec
-        self.wkey = spec.name + ".weight"
+        super().__init__(spec)
         self.bkey = spec.name + ".bias" if has_bias else None
-        self.ctx = None
-        self.in_shape: tuple[int, ...] = ()
 
-    def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        self.in_shape = x.shape
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        w = net.params[self.wkey]
-        if self.spec.binarized:
-            w = binarize_weights(w).values
+    def _forward(self, net, x, train):
+        w = self._weight(net)
         b = net.params[self.bkey] if self.bkey else np.zeros(w.shape[1], dtype=w.dtype)
-        y, ctx = ops.fully_connected_forward(x, w, b)
-        self.ctx = ctx if train else None
-        return y
+        y, ctx = ops.fully_connected_forward(x.reshape(x.shape[0], -1) if x.ndim > 2 else x, w, b)
+        return y, (x.shape, ctx)
 
-    def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gx, gw, gb = ops.fully_connected_backward(self.ctx, g)
-        self.ctx = None
-        if self.spec.binarized:
-            gw = ste_weight_grad(gw, net.params[self.wkey])
-        net.grads[self.wkey] = gw
+    def _backward(self, net, ctx, g):
+        in_shape, ctx = ctx
+        gx, gw, gb = ops.fully_connected_backward(ctx, g)
+        self._store_weight_grad(net, gw)
         if self.bkey:
             net.grads[self.bkey] = gb
-        return gx.reshape(self.in_shape)
+        return gx.reshape(in_shape)
 
 
-class _BNUnit:
+class _BNUnit(_Unit):
     def __init__(self, spec: LayerSpec):
-        self.spec = spec
-        name = spec.name
-        self.gkey, self.bkey = name + ".gamma", name + ".beta"
-        self.mkey, self.vkey = name + ".running_mean", name + ".running_var"
-        self.ctx = None
+        super().__init__(spec)
+        self.gkey, self.bkey, self.mkey, self.vkey = (
+            f"{spec.name}.{field}" for field in ("gamma", "beta", "running_mean", "running_var"))
 
-    def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        y, ctx = ops.batch_norm_forward(
-            x, net.params[self.gkey], net.params[self.bkey],
-            net.buffers[self.mkey], net.buffers[self.vkey], train,
-        )
-        self.ctx = ctx if train else None
-        return y
+    def _forward(self, net, x, train):
+        return ops.batch_norm_forward(x, net.params[self.gkey], net.params[self.bkey],
+                                      net.buffers[self.mkey], net.buffers[self.vkey], train)
 
-    def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gx, ggamma, gbeta = ops.batch_norm_backward(self.ctx, g)
-        self.ctx = None
-        net.grads[self.gkey] = ggamma
-        net.grads[self.bkey] = gbeta
+    def _backward(self, net, ctx, g):
+        gx, net.grads[self.gkey], net.grads[self.bkey] = ops.batch_norm_backward(ctx, g)
         return gx
 
 
-class _ActUnit:
-    def __init__(self, spec: LayerSpec):
-        self.spec = spec
-        self.ctx = None
-
-    def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
+class _ActUnit(_Unit):
+    def _forward(self, net, x, train):
         q = binarize_activations(x)
-        self.ctx = q.pass_mask if train else None
-        return q.values
+        return q.values, q.pass_mask
 
-    def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gx = ste_activation_grad(g, self.ctx)
-        self.ctx = None
-        return gx
+    def _backward(self, net, ctx, g):
+        return ste_activation_grad(g, ctx)
 
 
-class _MaxPoolUnit:
-    def __init__(self, spec: LayerSpec):
-        self.spec = spec
-        self.ctx = None
+class _PoolUnit(_Unit):
+    def _forward(self, net, x, train):
+        if self.spec.pool_op == "global_avg":
+            return ops.global_avg_pool_forward(x)
+        return ops.max_pool2d_forward(x, self.spec.kernel[0], self.spec.stride, self.spec.pad)
 
-    def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        y, ctx = ops.max_pool2d_forward(x, self.spec.kernel[0], self.spec.stride, self.spec.pad)
-        self.ctx = ctx if train else None
-        return y
-
-    def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gx = ops.max_pool2d_backward(self.ctx, g)
-        self.ctx = None
-        return gx
+    def _backward(self, net, ctx, g):
+        if self.spec.pool_op == "global_avg":
+            return ops.global_avg_pool_backward(ctx, g)
+        return ops.max_pool2d_backward(ctx, g)
 
 
-class _GapUnit:
-    def __init__(self, spec: LayerSpec):
-        self.spec = spec
-        self.ctx = None
-
-    def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        y, ctx = ops.global_avg_pool_forward(x)
-        self.ctx = ctx if train else None
-        return y
-
-    def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gx = ops.global_avg_pool_backward(self.ctx, g)
-        self.ctx = None
-        return gx
+_LAYER_UNITS = {"conv": _ConvUnit, "bn": _BNUnit, "act": _ActUnit, "pool": _PoolUnit}
 
 
-class _AddUnit:
-    """Residual join: main path + (optionally projected) block input."""
+def _layer_unit(spec: LayerSpec, params: dict) -> _Unit | None:
+    if spec.kind == "fc":
+        return _FCUnit(spec, spec.name + ".bias" in params)
+    if spec.kind == "residual-add":
+        return None  # its block's unit takes its place
+    if spec.kind not in _LAYER_UNITS:
+        raise ShapeError(f"unknown layer kind '{spec.kind}'")
+    return _LAYER_UNITS[spec.kind](spec)
 
-    def __init__(self, spec: LayerSpec, block: BlockSpec, proj_conv: _ConvUnit | None, proj_bn: _BNUnit | None):
-        self.spec = spec
-        self.block = block
-        self.proj_conv = proj_conv
-        self.proj_bn = proj_bn
+
+class _BlockUnit:
+    """A residual block: its main-path units, then its input added back,
+    through the projection conv and bn when it has them. The projection runs
+    after the main path in forward and first in backward, as in the walk."""
+
+    def __init__(self, block: BlockSpec, main: list[_Unit], proj: list[_Unit]):
+        self.spec = block
+        self.main = main
+        self.proj = proj
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
-        s = net._block_in.pop(self.block.name)  # the add's backward pass does not need it
-        if self.proj_conv is not None:
-            s = self.proj_conv.forward(net, s, train)
-            s = self.proj_bn.forward(net, s, train)
+        s = x
+        for unit in self.main:
+            x = unit.forward(net, x, train)
+        for unit in self.proj:
+            s = unit.forward(net, s, train)
         if s.shape != x.shape:
-            raise ShapeError(f"residual shapes disagree at '{self.spec.name}': {s.shape} vs {x.shape}")
+            raise ShapeError(f"residual shapes disagree in block '{self.spec.name}': {s.shape} vs {x.shape}")
         return x + s
 
     def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
         gs = g
-        if self.proj_conv is not None:
-            gs = self.proj_bn.backward(net, gs)
-            gs = self.proj_conv.backward(net, gs)
-        net._short_grad[self.block.name] = gs
-        return g
+        for unit in reversed(self.proj):
+            gs = unit.backward(net, gs)
+        for unit in reversed(self.main):
+            g = unit.backward(net, g)
+        return g + gs
 
 
 # Initial value of each array that is not a weight.
@@ -194,12 +189,10 @@ class Network:
         self.template = template
         self.code: ExpansionCode = validate_code(code, template.n_genes)
         self.seed = int(seed)
-        geoms = geometry_plan(template).layers(self.code)
-        self.channels = {g.spec.name: (g.in_ch, g.out_ch) for g in geoms}
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        for g in geoms:
+        for g in geometry_plan(template).layers(self.code):
             for field, shape in g.shapes.items():
                 if field == "weight":  # He init; a weight's size is fan_in * out_ch
                     std = np.sqrt(2.0 / (math.prod(shape) // g.out_ch))
@@ -208,40 +201,22 @@ class Network:
                     arr = np.full(shape, _FILL[field], dtype=np.float32)
                 store = self.buffers if field.startswith("running_") else self.params
                 store[f"{g.spec.name}.{field}"] = arr
-        self.units = []
-        for i, spec in enumerate(template.layers):
-            if spec.kind == "conv":
-                self.units.append(_ConvUnit(spec))
-            elif spec.kind == "fc":
-                self.units.append(_FCUnit(spec, spec.name + ".bias" in self.params))
-            elif spec.kind == "bn":
-                self.units.append(_BNUnit(spec))
-            elif spec.kind == "act":
-                self.units.append(_ActUnit(spec))
-            elif spec.kind == "pool":
-                self.units.append(_GapUnit(spec) if spec.pool_op == "global_avg" else _MaxPoolUnit(spec))
-            elif spec.kind == "residual-add":
-                block = template.block_at(i)
-                proj_conv = proj_bn = None
-                if block.proj_conv is not None:
-                    proj_conv = _ConvUnit(block.proj_conv)
-                    proj_bn = _BNUnit(block.proj_bn)
-                self.units.append(_AddUnit(spec, block, proj_conv, proj_bn))
-            else:
-                raise ShapeError(f"unknown layer kind '{spec.kind}'")
-        self._block_in: dict[str, np.ndarray] = {}
-        self._short_grad: dict[str, np.ndarray] = {}
+        self.units = [_layer_unit(spec, self.params) for spec in template.layers]
+        for b in sorted(template.blocks, key=lambda b: -b.first_layer):  # last first: earlier indices hold
+            proj = [_ConvUnit(b.proj_conv), _BNUnit(b.proj_bn)] if b.proj_conv is not None else []
+            self.units[b.first_layer : b.add_layer + 1] = [_BlockUnit(b, self.units[b.first_layer : b.add_layer], proj)]
         self._has_train_ctx = False  # the units hold the ctx of a train-mode forward
+
+    @property
+    def channels(self) -> dict[str, tuple[int, int]]:
+        """Per-layer (in, out) channel counts: `space.resolve_channels`."""
+        return resolve_channels(self.template, self.code)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1:] != self.template.input_shape:
             raise ShapeError(f"input shape {x.shape} != (N, {', '.join(map(str, self.template.input_shape))})")
-        self._block_in.clear()
         self._has_train_ctx = False
-        for i, unit in enumerate(self.units):
-            block = self.template.block_at(i)
-            if block is not None and i == block.first_layer:
-                self._block_in[block.name] = x
+        for unit in self.units:
             x = unit.forward(self, x, train)
         self._has_train_ctx = train
         return x
@@ -253,19 +228,12 @@ class Network:
                              "an eval-mode forward keeps no context and a backward pass consumes it")
         self._has_train_ctx = False
         g = grad_logits
-        self._short_grad.clear()
-        for i in reversed(range(len(self.units))):
-            g = self.units[i].backward(self, g)
-            block = self.template.block_at(i)
-            if block is not None and i == block.first_layer:
-                g = g + self._short_grad.pop(block.name)
+        for unit in reversed(self.units):
+            g = unit.backward(self, g)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Parameters then running stats, copied, in construction order."""
-        out = {name: arr.copy() for name, arr in self.params.items()}
-        for name, arr in self.buffers.items():
-            out[name] = arr.copy()
-        return out
+        return {name: arr.copy() for name, arr in dict(self.params, **self.buffers).items()}
 
     def load_state_dict(self, arrays: dict[str, np.ndarray]) -> None:
         own = dict(self.params, **self.buffers)

@@ -103,7 +103,7 @@ class Individual:
 
     code: ExpansionCode
     acc: float
-    cost: CostReport | None
+    cost: CostReport
     fitness: float
     eval_seed: int
     diverged: bool = False
@@ -331,8 +331,7 @@ def evolve(
                 ind = _outcome(outcomes[idx], gen, idx, code)
                 rec = SearchLogRecord(
                     generation=gen, index=idx, code=ind.code, acc=ind.acc,
-                    flops=ind.cost.flops if ind.cost else 0.0,
-                    flops_norm=ind.cost.flops_norm if ind.cost else 0.0,
+                    flops=ind.cost.flops, flops_norm=ind.cost.flops_norm,
                     fitness=ind.fitness, eval_seed=seed, wall_time=time.time(),
                     diverged=ind.diverged, random_parents=random_parents,
                 )

@@ -267,6 +267,6 @@ def read_code_file(path: str) -> tuple[str, ExpansionCode]:
         except json.JSONDecodeError as e:
             raise FormatError(f"code file {path} is not valid JSON: {e}") from e
     if (not isinstance(payload, dict) or set(payload) != {"template", "ratios"}
-            or not isinstance(payload["ratios"], list)):
-        raise FormatError(f"code file {path} must contain exactly 'template' and a 'ratios' list")
-    return str(payload["template"]), validate_code(payload["ratios"])
+            or not isinstance(payload["template"], str) or not isinstance(payload["ratios"], list)):
+        raise FormatError(f"code file {path} must contain exactly a 'template' string and a 'ratios' list")
+    return payload["template"], validate_code(payload["ratios"])

@@ -9,11 +9,10 @@ format bytes so the regular parsers stay the only ingestion path.
 from __future__ import annotations
 
 import os
-import struct
 
 import numpy as np
 
-from .data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, RGB_RECORD_BYTES
+from .data import pack_cifar10_bin, pack_mnist_idx
 from .errors import InputError
 from .seeding import derive_seed, rng_from
 
@@ -84,21 +83,12 @@ def synth_rgb_images(per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]
 
 def idx_bytes(per_class: int, seed: int) -> tuple[bytes, bytes]:
     """Grayscale set as (image file bytes, label file bytes) in IDX layout."""
-    images, labels = synth_gray_images(per_class, seed)
-    n, _, h, w = images.shape
-    image_bytes = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w) + images.tobytes()
-    label_bytes = struct.pack(">II", IDX_LABEL_MAGIC, n) + labels.astype(np.uint8).tobytes()
-    return image_bytes, label_bytes
+    return pack_mnist_idx(*synth_gray_images(per_class, seed))
 
 
 def rgb_record_bytes(per_class: int, seed: int) -> bytes:
-    """RGB set as concatenated 3073-byte records."""
-    images, labels = synth_rgb_images(per_class, seed)
-    n = labels.size
-    records = np.empty((n, RGB_RECORD_BYTES), dtype=np.uint8)
-    records[:, 0] = labels
-    records[:, 1:] = images.reshape(n, 3072)
-    return records.tobytes()
+    """RGB set as concatenated binary records (`data.pack_cifar10_bin`)."""
+    return pack_cifar10_bin(*synth_rgb_images(per_class, seed))
 
 
 def write_gray_files(directory: str, train_per_class: int, test_per_class: int, seed: int = 0) -> dict[str, str]:

@@ -153,7 +153,7 @@ def test_synthetic_evolution_finds_optimum_9_of_10_seeds_under_10s():
 
     def score(code, gen, idx, eval_seed):
         value = 100.0 - float(sum(abs(r - 2.0) for r in code))
-        return search.Individual(code=tuple(code), acc=value, cost=None, fitness=value, eval_seed=eval_seed)
+        return search.Individual(code=tuple(code), acc=value, cost=count_cost(t, code), fitness=value, eval_seed=eval_seed)
 
     started = time.perf_counter()
     hits = 0

@@ -102,6 +102,13 @@ class TestFlops:
         space.write_code_file(code_path, "resnet_mini", space.uniform_code(1, 6))
         assert cli.main(["flops", "--template", "vgg_small", "--code", code_path]) == 2
 
+    def test_code_file_without_template_string_is_format_error(self, tmp_path, capsys):
+        code_path = tmp_path / "code.json"
+        code_path.write_text('{"template": null, "ratios": [1, 1, 1, 1]}')
+        assert cli.main(["flops", "--template", "vgg_small_mini", "--code", str(code_path)]) == 3
+        err = capsys.readouterr().err
+        assert "format error" in err and "None" not in err
+
 
 class TestSearch:
     def test_end_to_end_run(self, tmp_path, capsys):

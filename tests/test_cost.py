@@ -27,11 +27,17 @@ class TestSingleLayers:
         assert layer.flops == expect / 64
 
     def test_zero_cost_layers(self):
-        t = templates.vgg_small_mini()
-        rep = cost.count_cost(t, space.uniform_code(1, t.n_genes))
-        for l in rep.layers:
-            if l.kind in ("bn", "act", "maxpool", "gap", "add"):
-                assert l.macs == 0 and l.flops == 0
+        # Batch norm, activation, pooling and residual adds cost nothing and
+        # are left out: the report lists exactly the conv/fc layers of the
+        # walk, projection shortcuts included, in walk order.
+        listed = set()
+        for name in sorted(templates.TEMPLATES):
+            t = templates.get_template(name)
+            code = space.uniform_code(2, t.n_genes)
+            weighted = [(g.spec.name, g.spec.kind) for g in space.layer_geometry(t, code) if g.spec.kind in ("conv", "fc")]
+            assert [(l.name, l.kind) for l in cost.count_cost(t, code).layers] == weighted, name
+            listed.update(layer for layer, _ in weighted)
+        assert {"s2b1_proj_conv", "s3b1_proj_conv"} <= listed
 
     def test_full_precision_layers_uncompressed(self):
         t = templates.vgg_small_mini()

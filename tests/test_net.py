@@ -24,9 +24,8 @@ def batch_for(net, n=4, seed=0):
 
 
 def all_units(net):
-    """Every unit, with the projection conv and batch norm inside residual adds."""
-    inner = [u for add in net.units for u in (getattr(add, "proj_conv", None), getattr(add, "proj_bn", None))]
-    return list(net.units) + [u for u in inner if u is not None]
+    """Every unit, with the main-path and projection units inside residual blocks."""
+    return [inner for unit in net.units for inner in [unit, *getattr(unit, "main", ()), *getattr(unit, "proj", ())]]
 
 
 class TestInit:
@@ -129,7 +128,6 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert all(getattr(u, "ctx", None) is None for u in all_units(net))
-        assert not net._block_in
         assert live < logits.nbytes + (1 << 20)
         assert peak < 300e6
 

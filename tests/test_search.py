@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binwidth import search, seeding, space, synth, templates, train
+from binwidth.cost import count_cost
 from binwidth.data import Dataset
 from binwidth.errors import FormatError, InputError
 
@@ -49,20 +50,23 @@ class StubRng:
         return not (self.randoms or self.ints or self.choices)
 
 
-def individuals(*fitnesses):
+def population(*fitnesses):
     return [
-        search.Individual(code=(1.0,), acc=f, cost=None, fitness=f, eval_seed=i)
+        search.SearchLogRecord(generation=0, index=i, code=(1.0,), acc=f, flops=0.0, flops_norm=0.0,
+                               fitness=f, eval_seed=i, wall_time=0.0)
         for i, f in enumerate(fitnesses)
     ]
 
 
 def score_distance_to(target):
-    """Closed-form evaluator: 100 minus the L1 distance to the target code."""
+    """Closed-form evaluator on resnet_mini codes: 100 minus the L1
+    distance to the target code, with the code priced by the cost model."""
+    t = templates.resnet_mini()
 
     def run(code, gen, idx, eval_seed):
         score = 100.0 - float(sum(abs(r - target) for r in code))
         return search.Individual(
-            code=tuple(code), acc=score, cost=None, fitness=score, eval_seed=eval_seed
+            code=tuple(code), acc=score, cost=count_cost(t, code), fitness=score, eval_seed=eval_seed
         )
 
     return run
@@ -89,12 +93,12 @@ class TestFitness:
 
 class TestSelectParent:
     def test_higher_fitness_wins(self):
-        pop = individuals(1.0, 5.0)
+        pop = population(1.0, 5.0)
         rng = StubRng(choices=[[0, 1]])
         assert search.select_parent(pop, rng) is pop[1]
 
     def test_tie_goes_to_lowest_index(self):
-        pop = individuals(3.0, 3.0, 1.0)
+        pop = population(3.0, 3.0, 1.0)
         rng = StubRng(choices=[[1, 0]])  # drawn out of order on purpose
         assert search.select_parent(pop, rng) is pop[0]
 
@@ -103,7 +107,7 @@ class TestSelectParent:
             search.select_parent([], np.random.default_rng(0))
 
     def test_tournament_capped_at_population(self):
-        pop = individuals(2.0, 9.0)
+        pop = population(2.0, 9.0)
         rng = StubRng(choices=[[0, 1]])
         assert search.select_parent(pop, rng, tournament_size=10) is pop[1]
 
@@ -299,7 +303,7 @@ class TestEvolve:
         t = templates.resnet_mini()
 
         def hopeless(code, gen, idx, eval_seed):
-            return search.Individual(code=tuple(code), acc=0.0, cost=None, fitness=0.0, eval_seed=eval_seed)
+            return search.Individual(code=tuple(code), acc=0.0, cost=count_cost(t, code), fitness=0.0, eval_seed=eval_seed)
 
         _, records = search.evolve(t, small_config(generations=2), hopeless)
         later = [r for r in records if r.generation == 1]

@@ -243,6 +243,13 @@ class TestCodeFiles:
         with pytest.raises(FormatError):
             space.read_code_file(str(path))
 
+    @pytest.mark.parametrize("template", ["null", "7", '["vgg_small_mini"]'])
+    def test_rejects_non_string_template(self, tmp_path, template):
+        path = tmp_path / "code.json"
+        path.write_text(f'{{"template": {template}, "ratios": [1, 1, 1, 1]}}')
+        with pytest.raises(FormatError, match="'template' string"):
+            space.read_code_file(str(path))
+
     def test_rejects_foreign_ratio(self, tmp_path):
         path = tmp_path / "code.json"
         path.write_text('{"template": "x", "ratios": [1.5]}')
