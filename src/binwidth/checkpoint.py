@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError
-from .space import ExpansionCode, geometry_plan, ratio_list, uniform_code, validate_code
+from .space import ExpansionCode, ratio_list, uniform_code, validate_code
 from .templates import NetworkTemplate
 
 MAGIC = b"BNASCKPT"
@@ -176,9 +176,8 @@ def inherit_weights(supernet: Checkpoint, template: NetworkTemplate, code) -> Ch
         raise InputError(f"supernet is for template '{supernet.template}', not '{template.name}'")
     if supernet.code != uniform_code(4, template.n_genes):
         raise InputError(f"supernet code {supernet.code} is not uniform 4x")
-    plan = geometry_plan(template)
-    target = {g.spec.name: g.shapes for g in plan.layers(code)}
-    source = {g.spec.name: g.shapes for g in plan.layers(supernet.code)}
+    target = {g.spec.name: g.shapes for g in template.plan.layers(code)}
+    source = {g.spec.name: g.shapes for g in template.plan.layers(supernet.code)}
     sliced: dict[str, np.ndarray] = {}
     for name, arr in supernet.arrays.items():
         layer, _, field = name.rpartition(".")

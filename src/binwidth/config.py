@@ -161,7 +161,7 @@ def load_run_config(path: str) -> RunConfig:
             payload = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file '{path}' does not exist") from None
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"config file '{path}' is not valid JSON: {e}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"config file '{path}' must hold a JSON object")

@@ -5,8 +5,8 @@ weights and activations get their MAC count divided by 64; pooling,
 batch norm, activations, and residual adds count as zero. Reported
 numbers are per input image.
 
-A report is priced from the template's geometry plan
-(`space.geometry_plan`): each call resolves only the conv/fc widths. The
+A report is priced from the geometry plan the template built with itself
+(`template.plan`): each call resolves only the conv/fc widths. The
 uniform-1x baseline is priced once per template instance and kept on the
 instance, like the plan.
 """
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .space import ExpansionCode, GeometryPlan, geometry_plan, uniform_code, validate_code
-from .templates import NetworkTemplate
+from .space import ExpansionCode, uniform_code, validate_code
+from .templates import GeometryPlan, NetworkTemplate
 
 BINARY_SPEEDUP = 64
 
@@ -61,13 +61,13 @@ def _priced(plan: GeometryPlan, code: ExpansionCode, binary: bool) -> tuple[list
     return layers, weight_bits
 
 
-def _baseline(template: NetworkTemplate, plan: GeometryPlan) -> tuple[float, float]:
+def _baseline(template: NetworkTemplate) -> tuple[float, float]:
     """Binary and full-precision FLOPs of the uniform-1x code, priced on
     first use and kept on the template instance."""
     baseline = template.__dict__.get("_cost_baseline")
     if baseline is None:
         one = uniform_code(1, template.n_genes)
-        baseline = tuple(sum(layer.flops for layer in _priced(plan, one, b)[0]) for b in (True, False))
+        baseline = tuple(sum(layer.flops for layer in _priced(template.plan, one, b)[0]) for b in (True, False))
         object.__setattr__(template, "_cost_baseline", baseline)
     return baseline
 
@@ -83,10 +83,9 @@ def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = 
     layer. Biases and norm parameters are not modeled.
     """
     code = validate_code(code, template.n_genes)
-    plan = geometry_plan(template)
-    layers, weight_bits = _priced(plan, code, binary)
+    layers, weight_bits = _priced(template.plan, code, binary)
     total = sum(layer.flops for layer in layers)
-    base_binary, base_full = _baseline(template, plan)
+    base_binary, base_full = _baseline(template)
     return CostReport(
         template=template.name,
         code=code,

@@ -14,8 +14,8 @@ a binary conv/fc is already 1-bit. These units are the package's only
 binary conv/fc path: training runs them, and the straight-through
 gradient checks run against them.
 
-Which arrays a layer owns, and their shapes, come from the template's
-geometry plan (`space.GeometryPlan.layers`, the walk behind
+Which arrays a layer owns, and their shapes, come from the geometry plan
+the template built with itself (`template.plan.layers`, the walk behind
 `space.layer_geometry`); the network creates them in its walk order.
 """
 
@@ -29,14 +29,14 @@ from . import ops
 from .errors import InputError, ShapeError
 from .quant import binarize_activations, binarize_weights, ste_activation_grad, ste_weight_grad
 from .seeding import rng_from
-from .space import ExpansionCode, geometry_plan, resolve_channels, validate_code
+from .space import ExpansionCode, resolve_channels, validate_code
 from .templates import BlockSpec, LayerSpec, NetworkTemplate
 
 
 class _Unit:
     """One layer step; a subclass gives `_forward(net, x, train) -> (y, ctx)`
     and `_backward(net, ctx, g) -> gx`. `forward` keeps the ctx only when
-    `train` is true; `backward` takes it once and clears it."""
+    `train` is true; `backward` takes it, and the gradient in `slot`, once."""
 
     def __init__(self, spec: LayerSpec):
         self.spec = spec
@@ -47,9 +47,9 @@ class _Unit:
         self.ctx = ctx if train else None
         return y
 
-    def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
+    def backward(self, net: "Network", slot: list[np.ndarray]) -> np.ndarray:
         ctx, self.ctx = self.ctx, None
-        return self._backward(net, ctx, g)
+        return self._backward(net, ctx, slot.pop())
 
 
 class _WeightedUnit(_Unit):
@@ -144,9 +144,7 @@ def _layer_unit(spec: LayerSpec, params: dict) -> _Unit | None:
         return _FCUnit(spec, spec.name + ".bias" in params)
     if spec.kind == "residual-add":
         return None  # its block's unit takes its place
-    if spec.kind not in _LAYER_UNITS:
-        raise ShapeError(f"unknown layer kind '{spec.kind}'")
-    return _LAYER_UNITS[spec.kind](spec)
+    return _LAYER_UNITS[spec.kind](spec)  # the template has checked every kind
 
 
 class _BlockUnit:
@@ -169,12 +167,12 @@ class _BlockUnit:
             raise ShapeError(f"residual shapes disagree in block '{self.spec.name}': {s.shape} vs {x.shape}")
         return x + s
 
-    def backward(self, net: "Network", g: np.ndarray) -> np.ndarray:
-        gs = g
+    def backward(self, net: "Network", slot: list[np.ndarray]) -> np.ndarray:
+        g = gs = slot.pop()
         for unit in reversed(self.proj):
-            gs = unit.backward(net, gs)
+            gs = unit.backward(net, [gs])
         for unit in reversed(self.main):
-            g = unit.backward(net, g)
+            g = unit.backward(net, [g])
         return g + gs
 
 
@@ -192,7 +190,7 @@ class Network:
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        for g in geometry_plan(template).layers(self.code):
+        for g in template.plan.layers(self.code):
             for field, shape in g.shapes.items():
                 if field == "weight":  # He init; a weight's size is fan_in * out_ch
                     std = np.sqrt(2.0 / (math.prod(shape) // g.out_ch))
@@ -227,9 +225,11 @@ class Network:
             raise InputError("backward needs a preceding forward(train=True); "
                              "an eval-mode forward keeps no context and a backward pass consumes it")
         self._has_train_ctx = False
-        g = grad_logits
+        # Each unit takes its gradient out of the slot: a local here would keep
+        # a projection block's incoming gradient alive through its main path.
+        slot = [grad_logits]
         for unit in reversed(self.units):
-            g = unit.backward(self, g)
+            slot.append(unit.backward(self, slot))
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Parameters then running stats, copied, in construction order."""

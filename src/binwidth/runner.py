@@ -43,14 +43,13 @@ SUMMARY_NAME = "summary.json"
 
 def read_search_log(path: str) -> list[SearchLogRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:  # decoded per line, so a bad byte is reported at its line
+        for lineno, raw in enumerate(f, start=1):
             try:
-                records.append(SearchLogRecord.from_json(line))
-            except (FormatError, InputError) as e:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    records.append(SearchLogRecord.from_json(line))
+            except (UnicodeDecodeError, FormatError, InputError) as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from None
     return records
 

@@ -5,7 +5,8 @@ widths: layer kinds and order, kernel sizes, strides, padding, which
 layers are binarized, and which layers carry a width gene. Output channel
 counts are stated for the 1x configuration and scaled by an expansion
 code at instantiation time; each layer's input width follows from the
-layers before it (`space.layer_geometry`).
+layers before it. A template checks its structure once, when it is
+built, and keeps the walk's result as `template.plan` (`GeometryPlan`).
 
 Gene layout convention for residual families: one gene for the stem
 output, one gene per block mid-width, and one gene per stage output
@@ -50,6 +51,154 @@ class BlockSpec:
 
 
 @dataclass(frozen=True)
+class LayerGeom:
+    """One executed layer: its spec, resolved channels, output extent, and
+    the shape of each array it owns, by field name in storage order."""
+
+    spec: LayerSpec
+    in_ch: int
+    out_ch: int
+    h_out: int
+    w_out: int
+    shapes: dict[str, tuple[int, ...]]
+    in_features: int = 0  # fc only: flattened input size
+    proj_of: str | None = None  # set on projection-shortcut entries
+
+
+def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
+    if size + 2 * pad < k:
+        raise InputError(f"kernel {k} exceeds padded extent {size + 2 * pad}")
+    return (size + 2 * pad - k) // stride + 1
+
+
+def _block_table(template: "NetworkTemplate") -> tuple[BlockSpec | None, ...]:
+    """The block of each layer, or None. Blocks must be disjoint ordered
+    layer ranges, each ending at a residual-add, and a projection needs
+    both its conv and its bn."""
+    layers = template.layers
+    block_of: list[BlockSpec | None] = [None] * len(layers)
+    for b in template.blocks:
+        if not 0 <= b.first_layer < b.add_layer < len(layers):
+            raise InputError(f"block '{b.name}' spans layers {b.first_layer}..{b.add_layer}, not an ordered "
+                             f"range within the {len(layers)} layers of template '{template.name}'")
+        if layers[b.add_layer].kind != "residual-add":
+            raise InputError(f"block '{b.name}' ends at '{layers[b.add_layer].name}', not at a residual-add")
+        if (b.proj_conv is None) != (b.proj_bn is None):
+            raise InputError(f"block '{b.name}' needs both a projection conv and a projection bn, or neither")
+        for i in range(b.first_layer, b.add_layer + 1):
+            if block_of[i] is not None:
+                raise InputError(f"blocks '{block_of[i].name}' and '{b.name}' overlap at layer '{layers[i].name}'")
+            block_of[i] = b
+    return tuple(block_of)
+
+
+class GeometryPlan:
+    """A template's one structural walk, run when the template is built:
+    it checks the block table, every layer's kind and extent, and keeps
+    what no code changes.
+
+    `entries` holds every executed layer in walk order as (spec, in
+    source, out source, h_out, w_out, fc input extent, fc bias flag,
+    proj_of); `weighted` every conv/fc entry as (spec, in source, out
+    source, weights per in/out channel pair, output positions). A source
+    indexes the vector `channels` returns: gene widths by gene index, then
+    fixed counts (the image channels, an ungened fc's width). `ties` lists,
+    in walk order, each identity tie whose two sides can differ.
+    """
+
+    __slots__ = ("entries", "weighted", "fixed", "bases", "ties", "block_of")
+
+    def __init__(self, template: "NetworkTemplate"):
+        self.block_of = block_of = _block_table(template)
+        self.entries: list[tuple] = []
+        self.weighted: list[tuple] = []
+        self.ties: list[tuple[str, int, int]] = []
+        n = template.n_genes
+        self.bases = [0] * n  # each gene's base width
+        self.fixed = fixed = [template.input_shape[0]]
+        c = n  # source of the current channel count
+        h, w = template.input_shape[1:]
+        block_inputs: dict[str, int] = {}
+        for i, spec in enumerate(template.layers):
+            block = block_of[i]
+            if block is not None and i == block.first_layer:
+                block_inputs[block.name] = c
+            cin = c
+            if spec.kind in ("conv", "fc") and spec.gene_index is not None:
+                c = spec.gene_index
+                self.bases[c] = spec.base_out
+            elif spec.kind == "conv":
+                if block is None or block.proj_conv is not None:
+                    raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
+                c = block_inputs[block.name]
+            elif spec.kind == "fc":
+                c = n + len(fixed)
+                fixed.append(spec.base_out)
+            if spec.kind == "conv" or spec.kind == "pool" and spec.pool_op != "global_avg":
+                h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
+                w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
+            if spec.kind == "conv":
+                self._conv_entry(spec, cin, c, h, w)
+            elif spec.kind == "fc":
+                bias = i + 1 == len(template.layers) or template.layers[i + 1].kind != "bn"
+                self.entries.append((spec, cin, c, 1, 1, h * w, bias, None))
+                self.weighted.append((spec, cin, c, h * w, 1))
+                h = w = 1
+            elif spec.kind == "pool":
+                if spec.pool_op == "global_avg":
+                    h = w = 1
+                self.entries.append((spec, c, c, h, w, 0, False, None))
+            elif spec.kind == "residual-add":
+                if block is None or i != block.add_layer:
+                    raise InputError(f"residual-add '{spec.name}' ends no block")
+                shortcut = block_inputs[block.name]
+                if block.proj_conv is not None:
+                    self._conv_entry(block.proj_conv, shortcut, c, h, w, proj_of=block.name)
+                    self.entries.append((block.proj_bn, c, c, h, w, 0, False, block.name))
+                elif shortcut != c:
+                    self.ties.append((block.name, shortcut, c))
+                self.entries.append((spec, c, c, h, w, 0, False, None))
+            elif spec.kind in ("bn", "act"):
+                self.entries.append((spec, c, c, h, w, 0, False, None))
+            else:
+                raise InputError(f"unknown layer kind '{spec.kind}'")
+
+    def _conv_entry(self, spec: LayerSpec, cin: int, c: int, h: int, w: int, proj_of: str | None = None) -> None:
+        self.entries.append((spec, cin, c, h, w, 0, False, proj_of))
+        self.weighted.append((spec, cin, c, spec.kernel[0] * spec.kernel[1], h * w))
+
+    def channels(self, code: tuple[float, ...]) -> list[int]:
+        """The channel count of every source, for a code validated against
+        the template's gene count. A gened base width is a positive multiple
+        of 4, so every candidate ratio scales it to a whole count of at
+        least 1; only an identity tie can fail."""
+        counts = [int(r * base) for r, base in zip(code, self.bases)] + self.fixed
+        for block, shortcut, c in self.ties:
+            if counts[shortcut] != counts[c]:
+                raise InputError(f"identity shortcut of block '{block}' sees {counts[shortcut]} vs {counts[c]} channels")
+        return counts
+
+    def layers(self, code: tuple[float, ...]) -> list[LayerGeom]:
+        """Every entry's `LayerGeom`, for a validated code."""
+        counts = self.channels(code)
+        geoms = []
+        for spec, i, o, h, w, extent, bias, proj_of in self.entries:
+            cin, c = counts[i], counts[o]
+            n_in = 0
+            if spec.kind == "conv":
+                shapes = {"weight": (c, cin, *spec.kernel)}
+            elif spec.kind == "fc":
+                n_in = cin * extent
+                shapes = {"weight": (n_in, c), "bias": (c,)} if bias else {"weight": (n_in, c)}
+            elif spec.kind == "bn":
+                shapes = {"gamma": (c,), "beta": (c,), "running_mean": (c,), "running_var": (c,)}
+            else:
+                shapes = {}
+            geoms.append(LayerGeom(spec, cin, c, h, w, shapes, n_in, proj_of))
+        return geoms
+
+
+@dataclass(frozen=True)
 class NetworkTemplate:
     name: str
     layers: tuple[LayerSpec, ...]
@@ -58,19 +207,17 @@ class NetworkTemplate:
     n_genes: int
     blocks: tuple[BlockSpec, ...] = ()
 
+    plan: GeometryPlan = field(init=False, repr=False, compare=False)  # built from the fields above
+
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         self._validate()
-        block_of = (next((b for b in self.blocks if b.first_layer <= i <= b.add_layer), None)
-                    for i in range(len(self.layers)))
-        object.__setattr__(self, "_block_of", tuple(block_of))
+        object.__setattr__(self, "plan", GeometryPlan(self))
 
     def _validate(self):
         weighted = [l for l in self.layers if l.kind in ("conv", "fc")]
-        for b in self.blocks:
-            if b.proj_conv is not None:
-                weighted.append(b.proj_conv)
+        weighted += [b.proj_conv for b in self.blocks if b.proj_conv is not None]
         if not weighted:
             raise InputError(f"template '{self.name}' has no conv/fc layers")
         convs = [l for l in self.layers if l.kind == "conv"]
@@ -93,12 +240,14 @@ class NetworkTemplate:
                 seen[l.gene_index] = l.name
                 if l.base_out % 4 != 0:
                     raise InputError(f"gened layer '{l.name}' base width {l.base_out} is not divisible by 4")
+                if l.base_out <= 0:
+                    raise InputError(f"gened layer '{l.name}' base width {l.base_out} is not positive")
         if sorted(seen) != list(range(self.n_genes)):
             raise InputError(f"template '{self.name}' gene indices {sorted(seen)} != 0..{self.n_genes - 1}")
 
     def block_at(self, layer_index: int) -> BlockSpec | None:
         """The block whose main path holds layer `layer_index`, if any."""
-        return self._block_of[layer_index]
+        return self.plan.block_of[layer_index]
 
 
 def _conv(name, base_out, k, stride=1, pad=None, binarized=True, gene=None) -> LayerSpec:

@@ -66,7 +66,7 @@ def act_conv_pass(x: np.ndarray, w: np.ndarray, tangent: np.ndarray):
     units = {unit.spec.name: unit for unit in network.units}
     act, conv = units["act1"], units["conv2"]
     out = conv.forward(network, act.forward(network, x, True), True)
-    gx = act.backward(network, conv.backward(network, tangent))
+    gx = act.backward(network, [conv.backward(network, [tangent])])
     return out, gx, network.grads["conv2.weight"]
 
 

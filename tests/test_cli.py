@@ -9,6 +9,7 @@ import pytest
 from binwidth import cli, space, synth, templates
 from binwidth.checkpoint import read_checkpoint, serialize_checkpoint, write_checkpoint, Checkpoint, inherit_weights
 from binwidth.net import instantiate
+from binwidth.search import SearchLogRecord
 
 
 def write_config(tmp_path, **overrides):
@@ -109,6 +110,18 @@ class TestFlops:
         err = capsys.readouterr().err
         assert "format error" in err and "None" not in err
 
+    def test_code_file_with_foreign_ratio_is_format_error_naming_it(self, tmp_path, capsys):
+        code_path = tmp_path / "code.json"
+        code_path.write_text('{"template": "vgg_small_mini", "ratios": [1, 1.5, 1, 1]}')
+        assert cli.main(["flops", "--template", "vgg_small_mini", "--code", str(code_path)]) == 3
+        assert f"format error: code file {code_path}: ratio 1.5 at gene 1" in capsys.readouterr().err
+
+    def test_code_file_not_utf8_is_format_error_naming_it(self, tmp_path, capsys):
+        code_path = tmp_path / "code.json"
+        code_path.write_bytes(b'{"template": "vgg_small_mini\xff", "ratios": [1, 1, 1, 1]}')
+        assert cli.main(["flops", "--template", "vgg_small_mini", "--code", str(code_path)]) == 3
+        assert f"format error: code file {code_path} is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_end_to_end_run(self, tmp_path, capsys):
@@ -132,6 +145,12 @@ class TestSearch:
     def test_missing_config_is_config_error(self, capsys):
         assert cli.main(["search", "--config", "/no/such.json"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(b'{"template": "vgg_small_mini\xff"}')
+        assert cli.main(["search", "--config", str(cfg_path)]) == 2
+        assert f"config error: config file '{cfg_path}' is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -247,6 +266,15 @@ class TestReportVerb:
         assert cli.main(["report", "--run", str(tmp_path / "run"), "--out", rep_dir]) == 0
         for name in ("fitness.csv", "channels.csv", "flops.csv"):
             assert os.path.exists(os.path.join(rep_dir, name))
+
+    def test_log_line_not_utf8_is_format_error_at_its_line(self, tmp_path, capsys):
+        space.write_code_file(str(tmp_path / "best_code.json"), "vgg_small_mini", (1.0,) * 4)
+        record = SearchLogRecord(generation=0, index=0, code=(1.0,) * 4, acc=50.0, flops=1.0, flops_norm=1.0,
+                                 fitness=0.5, eval_seed=7, wall_time=0.0)
+        log_path = tmp_path / "search_log.jsonl"
+        log_path.write_bytes(record.to_json().encode() + b"\n" + record.to_json().encode()[:-1] + b"\xff}\n")
+        assert cli.main(["report", "--run", str(tmp_path)]) == 3
+        assert f"format error: {log_path}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_missing_run_dir_is_io_error(self, capsys):
         assert cli.main(["report", "--run", "/no/such/dir"]) == 1

@@ -218,17 +218,13 @@ class TestReferenceWalk:
         assert isinstance(priced, str) == (stem != 1.0)
 
     def test_structural_error_keeps_the_walks_message(self):
+        # A structural error is the template's, raised once when it is built.
         t = templates.vgg_small_mini()
         layers = list(t.layers)
         layers[0] = dataclasses.replace(layers[0], kernel=(31, 31), pad=0)  # wider than the 28x28 input
-        t = dataclasses.replace(t, layers=tuple(layers))
-        code = space.uniform_code(1, t.n_genes)
-        with pytest.raises(InputError) as want:
-            layer_geometry_reference(t, code)
-        for call in (space.layer_geometry, cost.count_cost, space.layer_geometry):  # and again, from the plan
-            with pytest.raises(InputError) as got:
-                call(t, code)
-            assert str(got.value) == str(want.value) == "kernel 31 exceeds padded extent 28"
+        with pytest.raises(InputError) as got:
+            dataclasses.replace(t, layers=tuple(layers))
+        assert str(got.value) == "kernel 31 exceeds padded extent 28"
 
 
 class TestPlanPerInstance:

@@ -1,6 +1,7 @@
 """Network assembly: init, forward/backward wiring, state round-trips."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +163,31 @@ class TestBackward:
             net.backward(dlogits)
         with pytest.raises(InputError, match="forward\\(train=True\\)"):
             net.backward(dlogits)
+
+    def test_projection_block_drops_its_incoming_gradient_before_conv2(self):
+        # The projection and bn2 use the gradient entering the block; no
+        # frame may keep it alive through the rest of the main path.
+        network = net_mod.instantiate(templates.resnet_mini(), (1, 4, 1, 4, 1, 4), seed=3)
+        at = [unit.spec.name for unit in network.units].index("s2b1")
+        block, after = network.units[at], network.units[at + 1]
+        conv2 = next(unit for unit in block.main if unit.spec.name == "s2b1_conv2")
+        assert block.proj
+        entering, dead = [], []
+
+        def after_backward(*args, inner=after.backward):
+            g = inner(*args)
+            entering.append(weakref.ref(g))
+            return g
+
+        def conv2_backward(*args, inner=conv2.backward):
+            dead.append(entering[-1]() is None)
+            return inner(*args)
+
+        after.backward, conv2.backward = after_backward, conv2_backward
+        x = batch_for(network, n=2, seed=5)
+        network.forward(x, train=True)
+        network.backward(np.ones((2, network.template.class_count), dtype=np.float32))
+        assert dead == [True]
 
     def test_shortcut_carries_gradient(self):
         # Gradient must reach the stem through both the residual main path

@@ -1,5 +1,7 @@
 """Templates, expansion codes, channel resolution, and geometry."""
 
+import dataclasses
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binwidth import space, templates
+from binwidth import cost, net, space, templates
 from binwidth.errors import FormatError, InputError
 
 ratio = st.sampled_from(space.RATIOS)
@@ -78,6 +80,46 @@ class TestTemplates:
         ]
         with pytest.raises(InputError):
             templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
+
+    def test_rejects_gened_base_width_of_zero(self):
+        bad = [
+            templates._conv("conv1", 0, 3, binarized=False, gene=0),
+            templates._fc("fc1", 10, binarized=False),
+        ]
+        with pytest.raises(InputError, match="gened layer 'conv1' base width 0 is not positive"):
+            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
+
+    @pytest.mark.parametrize("index, changes, message", [
+        (0, {"add_layer": 7}, "block 's1b1' ends at 's1b1_bn2', not at a residual-add"),
+        (0, {"first_layer": 8}, "block 's1b1' spans layers 8..8, not an ordered range within the 26 layers"),
+        (2, {"add_layer": 26}, "block 's3b1' spans layers 17..26, not an ordered range within the 26 layers"),
+        (1, {"first_layer": 7}, "blocks 's1b1' and 's2b1' overlap at layer 's1b1_bn2'"),
+        (1, {"proj_bn": None}, "block 's2b1' needs both a projection conv and a projection bn, or neither"),
+        (1, {"proj_conv": None}, "block 's2b1' needs both a projection conv and a projection bn, or neither"),
+    ], ids=["add_not_residual_add", "empty_range", "past_the_end", "overlap", "conv_without_bn", "bn_without_conv"])
+    def test_rejects_malformed_block_table_when_built(self, index, changes, message):
+        t = templates.resnet_mini()
+        blocks = list(t.blocks)
+        blocks[index] = dataclasses.replace(blocks[index], **changes)
+        with pytest.raises(InputError, match=re.escape(message)):
+            dataclasses.replace(t, blocks=tuple(blocks))
+
+    def test_rejects_residual_add_that_ends_no_block(self):
+        t = templates.resnet_mini()
+        with pytest.raises(InputError, match="residual-add 's2b1_add' ends no block"):
+            dataclasses.replace(t, blocks=(t.blocks[0], t.blocks[2]))
+
+    @pytest.mark.parametrize("name", sorted(templates.TEMPLATES))
+    def test_library_never_calls_block_at(self, name, monkeypatch):
+        def refuse(self, layer_index):
+            raise AssertionError("block_at called")
+
+        monkeypatch.setattr(templates.NetworkTemplate, "block_at", refuse)
+        t = templates.get_template(name)
+        code = space.uniform_code(1, t.n_genes)
+        space.layer_geometry(t, code)
+        cost.count_cost(t, code)
+        net.instantiate(t, code, seed=0)
 
 
 class TestCodes:
@@ -253,5 +295,5 @@ class TestCodeFiles:
     def test_rejects_foreign_ratio(self, tmp_path):
         path = tmp_path / "code.json"
         path.write_text('{"template": "x", "ratios": [1.5]}')
-        with pytest.raises(InputError):
+        with pytest.raises(FormatError, match=f"code file {re.escape(str(path))}: ratio 1.5 at gene 0"):
             space.read_code_file(str(path))
