@@ -164,6 +164,7 @@ def read_checkpoint(path: str) -> Checkpoint:
 def inherit_weights(supernet: Checkpoint, template: NetworkTemplate, code) -> Checkpoint:
     """Slice a 4x-uniform supernet down to (template, code).
 
+    The supernet must hold every array of the 4x network and nothing else.
     Each entry must have its full supernet shape, and keeps the leading
     prefix of every axis up to the child's shape: conv weights
     [out, in, kh, kw], fc weights [flattened-in, out] (rows are
@@ -178,6 +179,10 @@ def inherit_weights(supernet: Checkpoint, template: NetworkTemplate, code) -> Ch
         raise InputError(f"supernet code {supernet.code} is not uniform 4x")
     target = {g.spec.name: g.shapes for g in template.plan.layers(code)}
     source = {g.spec.name: g.shapes for g in template.plan.layers(supernet.code)}
+    missing = [f"{layer}.{field}" for layer, shapes in source.items() for field in shapes
+               if f"{layer}.{field}" not in supernet.arrays]
+    if missing:
+        raise InputError(f"supernet lacks {len(missing)} array(s) of '{template.name}': {', '.join(missing)}")
     sliced: dict[str, np.ndarray] = {}
     for name, arr in supernet.arrays.items():
         layer, _, field = name.rpartition(".")

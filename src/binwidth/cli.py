@@ -26,15 +26,16 @@ from .train import accuracy
 
 
 def _resolve_code(args, template):
-    """--code FILE wins over --uniform R; exactly one must be given."""
-    if getattr(args, "code", None):
-        name, code = read_code_file(args.code)
-        if name != template.name:
-            raise InputError(f"code file is for template '{name}', not '{template.name}'")
-        return code
-    if getattr(args, "uniform", None) is not None:
+    """The code of --code FILE or of --uniform R; exactly one must be given,
+    and the parser refuses both."""
+    if args.uniform is not None:
         return uniform_code(args.uniform, template.n_genes)
-    raise InputError("give either --code FILE or --uniform RATIO")
+    if args.code is None:
+        raise InputError("give either --code FILE or --uniform RATIO")
+    name, code = read_code_file(args.code)
+    if name != template.name:
+        raise InputError(f"code file is for template '{name}', not '{template.name}'")
+    return code
 
 
 def _cmd_flops(args) -> int:
@@ -136,8 +137,9 @@ def _cmd_synth(args) -> int:
 
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--code", help="code file (JSON with template and ratios)")
-    p.add_argument("--uniform", type=float, help="uniform expansion ratio")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--code", help="code file (JSON with template and ratios)")
+    group.add_argument("--uniform", type=float, help="uniform expansion ratio")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,9 @@ batch-norm running stats, plus `units`, which forward runs in order and
 backward in reverse. Each layer is a `_Unit`: the base class alone keeps
 a kernel's ctx, only from a train-mode forward, and hands it once to the
 backward pass, which clears it, so an eval-mode forward leaves no input
-or intermediate behind. A residual block is one `_BlockUnit`: it owns its
-main-path and projection units and holds the block input as a local.
+or intermediate behind. A residual block is one `_BlockUnit`: it owns the
+units of its main path and of its shortcut, built by the same recursion
+over the template's items, and holds the block input as a local.
 
 Binarized layers quantize their weights on every forward; activation
 quantization is an explicit layer in the templates, so the data entering
@@ -139,37 +140,40 @@ class _PoolUnit(_Unit):
 _LAYER_UNITS = {"conv": _ConvUnit, "bn": _BNUnit, "act": _ActUnit, "pool": _PoolUnit}
 
 
-def _layer_unit(spec: LayerSpec, params: dict) -> _Unit | None:
-    if spec.kind == "fc":
-        return _FCUnit(spec, spec.name + ".bias" in params)
-    if spec.kind == "residual-add":
-        return None  # its block's unit takes its place
-    return _LAYER_UNITS[spec.kind](spec)  # the template has checked every kind
+def _units(items, params: dict) -> list:
+    """One unit per template item, in order; a block becomes one `_BlockUnit`."""
+    units = []
+    for item in items:
+        if isinstance(item, BlockSpec):
+            units.append(_BlockUnit(item, _units(item.main, params), _units(item.shortcut, params)))
+        elif item.kind == "fc":
+            units.append(_FCUnit(item, item.name + ".bias" in params))
+        else:
+            units.append(_LAYER_UNITS[item.kind](item))  # the template has checked every kind
+    return units
 
 
 class _BlockUnit:
-    """A residual block: its main-path units, then its input added back,
-    through the projection conv and bn when it has them. The projection runs
-    after the main path in forward and first in backward, as in the walk."""
+    """A residual block: its main-path units and its shortcut units, both
+    run from the block input, then added. The shortcut runs after the main
+    path in forward and first in backward, as in the walk."""
 
-    def __init__(self, block: BlockSpec, main: list[_Unit], proj: list[_Unit]):
+    def __init__(self, block: BlockSpec, main: list[_Unit], shortcut: list[_Unit]):
         self.spec = block
         self.main = main
-        self.proj = proj
+        self.shortcut = shortcut
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
         s = x
         for unit in self.main:
             x = unit.forward(net, x, train)
-        for unit in self.proj:
+        for unit in self.shortcut:
             s = unit.forward(net, s, train)
-        if s.shape != x.shape:
-            raise ShapeError(f"residual shapes disagree in block '{self.spec.name}': {s.shape} vs {x.shape}")
-        return x + s
+        return x + s  # the template has checked that both branches meet at one shape
 
     def backward(self, net: "Network", slot: list[np.ndarray]) -> np.ndarray:
         g = gs = slot.pop()
-        for unit in reversed(self.proj):
+        for unit in reversed(self.shortcut):
             gs = unit.backward(net, [gs])
         for unit in reversed(self.main):
             g = unit.backward(net, [g])
@@ -199,10 +203,7 @@ class Network:
                     arr = np.full(shape, _FILL[field], dtype=np.float32)
                 store = self.buffers if field.startswith("running_") else self.params
                 store[f"{g.spec.name}.{field}"] = arr
-        self.units = [_layer_unit(spec, self.params) for spec in template.layers]
-        for b in sorted(template.blocks, key=lambda b: -b.first_layer):  # last first: earlier indices hold
-            proj = [_ConvUnit(b.proj_conv), _BNUnit(b.proj_bn)] if b.proj_conv is not None else []
-            self.units[b.first_layer : b.add_layer + 1] = [_BlockUnit(b, self.units[b.first_layer : b.add_layer], proj)]
+        self.units = _units(template.layers, self.params)
         self._has_train_ctx = False  # the units hold the ctx of a train-mode forward
 
     @property

@@ -55,12 +55,13 @@ def random_code(n: int, rng: np.random.Generator) -> ExpansionCode:
 
 
 def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[LayerGeom]:
-    """Execution-ordered channels, extents and array shapes; projection
-    entries precede their add.
+    """Execution-ordered channels, extents and array shapes; a block's
+    shortcut entries follow its main path's.
 
     Gened layers scale their base width by the gene's ratio. A block with
-    an identity shortcut has its last conv's output tied to the block
-    input; a projection shortcut adopts the block's output gene. The first
+    an identity shortcut has its ungened convs' output tied to the block
+    input; an ungened conv on a shortcut adopts the main path's output
+    width, so a projection takes the block's output gene. The first
     conv's input and the classifier's output stay fixed at the image
     channel count and the class count.
 

@@ -5,8 +5,10 @@ widths: layer kinds and order, kernel sizes, strides, padding, which
 layers are binarized, and which layers carry a width gene. Output channel
 counts are stated for the 1x configuration and scaled by an expansion
 code at instantiation time; each layer's input width follows from the
-layers before it. A template checks its structure once, when it is
-built, and keeps the walk's result as `template.plan` (`GeometryPlan`).
+layers before it. A residual block (`BlockSpec`) holds its own layers: a
+main path and a shortcut, both run from the block input and added. A
+template checks its structure once, when it is built, and keeps the
+walk's result as `template.plan` (`GeometryPlan`).
 
 Gene layout convention for residual families: one gene for the stem
 output, one gene per block mid-width, and one gene per stage output
@@ -18,6 +20,7 @@ output gene.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
@@ -25,7 +28,7 @@ from .errors import InputError
 @dataclass(frozen=True)
 class LayerSpec:
     name: str
-    kind: str  # conv | fc | pool | bn | act | residual-add
+    kind: str  # conv | fc | pool | bn | act
     kernel: tuple[int, int] = (0, 0)
     stride: int = 1
     pad: int = 0
@@ -37,17 +40,16 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """A residual block: layers[first_layer:add_layer+1] form the main path.
-
-    The block input is the tensor entering `first_layer`; it is added back
-    at `add_layer`, through the projection pair when one is present.
-    """
+    """A residual block: the main path's output plus the shortcut's, both
+    run from the block input. An empty shortcut is the identity."""
 
     name: str
-    first_layer: int
-    add_layer: int
-    proj_conv: LayerSpec | None = None
-    proj_bn: LayerSpec | None = None
+    main: tuple[LayerSpec, ...]
+    shortcut: tuple[LayerSpec, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "main", tuple(self.main))
+        object.__setattr__(self, "shortcut", tuple(self.shortcut))
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class LayerGeom:
     w_out: int
     shapes: dict[str, tuple[int, ...]]
     in_features: int = 0  # fc only: flattened input size
-    proj_of: str | None = None  # set on projection-shortcut entries
+    proj_of: str | None = None  # on a shortcut's entries: the block's name
 
 
 def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
@@ -71,31 +73,19 @@ def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _block_table(template: "NetworkTemplate") -> tuple[BlockSpec | None, ...]:
-    """The block of each layer, or None. Blocks must be disjoint ordered
-    layer ranges, each ending at a residual-add, and a projection needs
-    both its conv and its bn."""
-    layers = template.layers
-    block_of: list[BlockSpec | None] = [None] * len(layers)
-    for b in template.blocks:
-        if not 0 <= b.first_layer < b.add_layer < len(layers):
-            raise InputError(f"block '{b.name}' spans layers {b.first_layer}..{b.add_layer}, not an ordered "
-                             f"range within the {len(layers)} layers of template '{template.name}'")
-        if layers[b.add_layer].kind != "residual-add":
-            raise InputError(f"block '{b.name}' ends at '{layers[b.add_layer].name}', not at a residual-add")
-        if (b.proj_conv is None) != (b.proj_bn is None):
-            raise InputError(f"block '{b.name}' needs both a projection conv and a projection bn, or neither")
-        for i in range(b.first_layer, b.add_layer + 1):
-            if block_of[i] is not None:
-                raise InputError(f"blocks '{block_of[i].name}' and '{b.name}' overlap at layer '{layers[i].name}'")
-            block_of[i] = b
-    return tuple(block_of)
+def _specs(items: Iterable[LayerSpec | BlockSpec]) -> Iterator[LayerSpec]:
+    """Every layer of `items` in walk order: a block's main path, then its shortcut."""
+    for item in items:
+        if isinstance(item, BlockSpec):
+            yield from _specs(item.main + item.shortcut)
+        else:
+            yield item
 
 
 class GeometryPlan:
     """A template's one structural walk, run when the template is built:
-    it checks the block table, every layer's kind and extent, and keeps
-    what no code changes.
+    it checks every layer's kind and extent and that each block's two
+    branches meet at one extent, and keeps what no code changes.
 
     `entries` holds every executed layer in walk order as (spec, in
     source, out source, h_out, w_out, fc input extent, fc bias flag,
@@ -103,69 +93,71 @@ class GeometryPlan:
     source, weights per in/out channel pair, output positions). A source
     indexes the vector `channels` returns: gene widths by gene index, then
     fixed counts (the image channels, an ungened fc's width). `ties` lists,
-    in walk order, each identity tie whose two sides can differ.
+    in walk order, each block whose two branches end at sources that can
+    differ.
     """
 
-    __slots__ = ("entries", "weighted", "fixed", "bases", "ties", "block_of")
+    __slots__ = ("entries", "weighted", "fixed", "bases", "ties")
 
     def __init__(self, template: "NetworkTemplate"):
-        self.block_of = block_of = _block_table(template)
         self.entries: list[tuple] = []
         self.weighted: list[tuple] = []
         self.ties: list[tuple[str, int, int]] = []
-        n = template.n_genes
-        self.bases = [0] * n  # each gene's base width
-        self.fixed = fixed = [template.input_shape[0]]
-        c = n  # source of the current channel count
-        h, w = template.input_shape[1:]
-        block_inputs: dict[str, int] = {}
-        for i, spec in enumerate(template.layers):
-            block = block_of[i]
-            if block is not None and i == block.first_layer:
-                block_inputs[block.name] = c
+        self.bases = [0] * template.n_genes  # each gene's base width
+        self.fixed = [template.input_shape[0]]
+        self._walk(template.layers, template.n_genes, *template.input_shape[1:])
+
+    def _walk(self, items, c: int, h: int, w: int, flat: bool = False, tie: int | None = None,
+              proj_of: str | None = None) -> tuple[int, int, int, bool]:
+        """Walk `items` from channel source `c` at extent h x w, `flat` once
+        an fc or global pooling has dropped the spatial axes; return the
+        output's (source, h, w, flat). An ungened conv takes source `tie`: a
+        block walks its main path tied to the block input when its shortcut
+        is the identity, then its shortcut tied to the main path's output."""
+        for i, spec in enumerate(items):
+            if isinstance(spec, BlockSpec):
+                main = self._walk(spec.main, c, h, w, flat, None if spec.shortcut else c)
+                short = self._walk(spec.shortcut, c, h, w, flat, main[0], spec.name)
+                if short[1:] != main[1:]:
+                    short_ext, main_ext = ("flat" if f else f"{y}x{x}" for _, y, x, f in (short, main))
+                    raise InputError(f"block '{spec.name}' adds a {short_ext} shortcut to a {main_ext} main path")
+                if short[0] != main[0]:
+                    self.ties.append((spec.name, short[0], main[0]))
+                c, h, w, flat = main
+                continue
+            if flat and spec.kind in ("conv", "pool"):
+                raise InputError(f"{spec.kind} '{spec.name}' needs a spatial input, but an earlier layer flattened it")
             cin = c
             if spec.kind in ("conv", "fc") and spec.gene_index is not None:
                 c = spec.gene_index
                 self.bases[c] = spec.base_out
             elif spec.kind == "conv":
-                if block is None or block.proj_conv is not None:
+                if tie is None:
                     raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
-                c = block_inputs[block.name]
+                c = tie
             elif spec.kind == "fc":
-                c = n + len(fixed)
-                fixed.append(spec.base_out)
+                c = len(self.bases) + len(self.fixed)
+                self.fixed.append(spec.base_out)
             if spec.kind == "conv" or spec.kind == "pool" and spec.pool_op != "global_avg":
                 h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
                 w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
             if spec.kind == "conv":
-                self._conv_entry(spec, cin, c, h, w)
+                self.entries.append((spec, cin, c, h, w, 0, False, proj_of))
+                self.weighted.append((spec, cin, c, spec.kernel[0] * spec.kernel[1], h * w))
             elif spec.kind == "fc":
-                bias = i + 1 == len(template.layers) or template.layers[i + 1].kind != "bn"
-                self.entries.append((spec, cin, c, 1, 1, h * w, bias, None))
+                bias = i + 1 == len(items) or getattr(items[i + 1], "kind", None) != "bn"
+                self.entries.append((spec, cin, c, 1, 1, h * w, bias, proj_of))
                 self.weighted.append((spec, cin, c, h * w, 1))
                 h = w = 1
-            elif spec.kind == "pool":
-                if spec.pool_op == "global_avg":
+                flat = True
+            elif spec.kind in ("pool", "bn", "act"):
+                if spec.kind == "pool" and spec.pool_op == "global_avg":
                     h = w = 1
-                self.entries.append((spec, c, c, h, w, 0, False, None))
-            elif spec.kind == "residual-add":
-                if block is None or i != block.add_layer:
-                    raise InputError(f"residual-add '{spec.name}' ends no block")
-                shortcut = block_inputs[block.name]
-                if block.proj_conv is not None:
-                    self._conv_entry(block.proj_conv, shortcut, c, h, w, proj_of=block.name)
-                    self.entries.append((block.proj_bn, c, c, h, w, 0, False, block.name))
-                elif shortcut != c:
-                    self.ties.append((block.name, shortcut, c))
-                self.entries.append((spec, c, c, h, w, 0, False, None))
-            elif spec.kind in ("bn", "act"):
-                self.entries.append((spec, c, c, h, w, 0, False, None))
+                    flat = True
+                self.entries.append((spec, c, c, h, w, 0, False, proj_of))
             else:
                 raise InputError(f"unknown layer kind '{spec.kind}'")
-
-    def _conv_entry(self, spec: LayerSpec, cin: int, c: int, h: int, w: int, proj_of: str | None = None) -> None:
-        self.entries.append((spec, cin, c, h, w, 0, False, proj_of))
-        self.weighted.append((spec, cin, c, spec.kernel[0] * spec.kernel[1], h * w))
+        return c, h, w, flat
 
     def channels(self, code: tuple[float, ...]) -> list[int]:
         """The channel count of every source, for a code validated against
@@ -201,27 +193,24 @@ class GeometryPlan:
 @dataclass(frozen=True)
 class NetworkTemplate:
     name: str
-    layers: tuple[LayerSpec, ...]
+    layers: tuple[LayerSpec | BlockSpec, ...]
     input_shape: tuple[int, int, int]  # (C, H, W)
     class_count: int
     n_genes: int
-    blocks: tuple[BlockSpec, ...] = ()
 
     plan: GeometryPlan = field(init=False, repr=False, compare=False)  # built from the fields above
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
         self._validate()
         object.__setattr__(self, "plan", GeometryPlan(self))
 
     def _validate(self):
-        weighted = [l for l in self.layers if l.kind in ("conv", "fc")]
-        weighted += [b.proj_conv for b in self.blocks if b.proj_conv is not None]
+        weighted = [l for l in _specs(self.layers) if l.kind in ("conv", "fc")]
         if not weighted:
             raise InputError(f"template '{self.name}' has no conv/fc layers")
-        convs = [l for l in self.layers if l.kind == "conv"]
-        fcs = [l for l in self.layers if l.kind == "fc"]
+        convs = [l for l in weighted if l.kind == "conv"]
+        fcs = [l for l in weighted if l.kind == "fc"]
         if not convs or not fcs:
             raise InputError(f"template '{self.name}' needs at least one conv and one fc layer")
         # Full precision exactly at the first conv and the final classifier.
@@ -245,9 +234,9 @@ class NetworkTemplate:
         if sorted(seen) != list(range(self.n_genes)):
             raise InputError(f"template '{self.name}' gene indices {sorted(seen)} != 0..{self.n_genes - 1}")
 
-    def block_at(self, layer_index: int) -> BlockSpec | None:
-        """The block whose main path holds layer `layer_index`, if any."""
-        return self.plan.block_of[layer_index]
+    def block_at(self, index: int) -> BlockSpec | None:
+        """The top-level item at `index` if it is a block, else None."""
+        return item if isinstance(item := self.layers[index], BlockSpec) else None
 
 
 def _conv(name, base_out, k, stride=1, pad=None, binarized=True, gene=None) -> LayerSpec:
@@ -279,10 +268,6 @@ def _gap(name) -> LayerSpec:
     return LayerSpec(name=name, kind="pool", pool_op="global_avg")
 
 
-def _add(name) -> LayerSpec:
-    return LayerSpec(name=name, kind="residual-add")
-
-
 def vgg_small() -> NetworkTemplate:
     """Six 3x3 convs in three width tiers with a two-layer classifier, for 32x32 RGB inputs."""
     layers = [
@@ -307,14 +292,12 @@ def _residual_family(
     blocks_per_stage: int,
 ) -> NetworkTemplate:
     layers = list(stem)
-    blocks = []
     gene = 1  # gene 0 is the stem conv
     for s, width in enumerate(stage_widths, start=1):
         for b in range(1, blocks_per_stage + 1):
             downsample = s > 1 and b == 1
             stride = 2 if downsample else 1
             prefix = f"s{s}b{b}"
-            first = len(layers)
             mid_gene = gene
             gene += 1
             if downsample:
@@ -322,26 +305,22 @@ def _residual_family(
                 gene += 1
             else:
                 out_gene = None  # identity shortcut: output width tied to block input
-            layers.extend([
+            main = [
                 _conv(f"{prefix}_conv1", width, 3, stride=stride, gene=mid_gene),
                 _bn(f"{prefix}_bn1"),
                 _act(f"{prefix}_act1"),
                 _conv(f"{prefix}_conv2", width, 3, gene=out_gene),
                 _bn(f"{prefix}_bn2"),
-                _add(f"{prefix}_add"),
-            ])
-            add_at = len(layers) - 1
-            proj_conv = proj_bn = None
+            ]
+            shortcut = []
             if downsample:
-                proj_conv = _conv(f"{prefix}_proj_conv", width, 1, stride=stride, pad=0)
-                proj_bn = _bn(f"{prefix}_proj_bn")
+                shortcut = [_conv(f"{prefix}_proj_conv", width, 1, stride=stride, pad=0), _bn(f"{prefix}_proj_bn")]
+            layers.append(BlockSpec(prefix, main, shortcut))
             layers.append(_act(f"{prefix}_act2"))
-            blocks.append(BlockSpec(name=prefix, first_layer=first, add_layer=add_at, proj_conv=proj_conv, proj_bn=proj_bn))
     layers.append(_gap("gap"))
     layers.append(_fc("fc", class_count, binarized=False))
     return NetworkTemplate(
-        name=name, layers=tuple(layers), input_shape=input_shape,
-        class_count=class_count, n_genes=gene, blocks=tuple(blocks),
+        name=name, layers=tuple(layers), input_shape=input_shape, class_count=class_count, n_genes=gene,
     )
 
 

@@ -4,6 +4,7 @@ the per-call geometry walk and pricing that the geometry plan replaced."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -184,55 +185,78 @@ def _norm_shapes_reference(c: int) -> dict:
     return {"gamma": (c,), "beta": (c,), "running_mean": (c,), "running_var": (c,)}
 
 
+def specs(template):
+    """Every `LayerSpec` of `template` in walk order: a block's main path, then its shortcut."""
+    for item in template.layers:
+        if isinstance(item, templates.BlockSpec):
+            yield from item.main + item.shortcut
+        else:
+            yield item
+
+
+def replace_layer(items, name: str, **changes) -> tuple:
+    """`items` with the layer called `name`, at any depth, given `changes`."""
+    return tuple(
+        dataclasses.replace(item, main=replace_layer(item.main, name, **changes),
+                            shortcut=replace_layer(item.shortcut, name, **changes))
+        if isinstance(item, templates.BlockSpec)
+        else dataclasses.replace(item, **changes) if item.name == name else item
+        for item in items)
+
+
 def layer_geometry_reference(template, code) -> list:
-    """The whole walk on every call: the oracle for `space.layer_geometry`."""
+    """The whole walk on every call: the oracle for `space.layer_geometry`.
+
+    A block walks its main path, then its shortcut, both from the block
+    input's width and extent. An ungened conv takes the block input's width
+    on an identity block's main path and the main path's output width on a
+    shortcut.
+    """
     code = space.validate_code(code, template.n_genes)
     geoms = []
-    c, h, w = template.input_shape
-    block_inputs = {}
-    for i, spec in enumerate(template.layers):
-        block = template.block_at(i)
-        if block is not None and i == block.first_layer:
-            block_inputs[block.name] = c
-        cin = c
-        if spec.kind == "conv":
-            if spec.gene_index is not None:
-                c = _scaled_reference(code[spec.gene_index], spec.base_out)
-            elif block is None or block.proj_conv is not None:
-                raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
-            else:
-                c = block_inputs[block.name]
-            h = _conv_out_reference(h, spec.kernel[0], spec.stride, spec.pad)
-            w = _conv_out_reference(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(space.LayerGeom(spec, cin, c, h, w, {"weight": (c, cin, *spec.kernel)}))
-        elif spec.kind == "fc":
-            c = _scaled_reference(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
-            n_in = cin * h * w
-            shapes = {"weight": (n_in, c)}
-            if i + 1 == len(template.layers) or template.layers[i + 1].kind != "bn":
-                shapes["bias"] = (c,)
-            geoms.append(space.LayerGeom(spec, cin, c, 1, 1, shapes, in_features=n_in))
-            h = w = 1
-        elif spec.kind == "pool":
-            if spec.pool_op == "global_avg":
-                h = w = 1
-            else:
+
+    def walk(items, c, h, w, tie=None, proj_of=None):
+        for i, spec in enumerate(items):
+            if isinstance(spec, templates.BlockSpec):
+                main = walk(spec.main, c, h, w, tie=None if spec.shortcut else c)
+                shortcut = walk(spec.shortcut, c, h, w, tie=main[0], proj_of=spec.name)
+                if shortcut[0] != main[0]:
+                    raise InputError(f"identity shortcut of block '{spec.name}' sees {shortcut[0]} vs {main[0]} channels")
+                c, h, w = main
+                continue
+            cin = c
+            if spec.kind == "conv":
+                if spec.gene_index is not None:
+                    c = _scaled_reference(code[spec.gene_index], spec.base_out)
+                elif tie is None:
+                    raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
+                else:
+                    c = tie
                 h = _conv_out_reference(h, spec.kernel[0], spec.stride, spec.pad)
                 w = _conv_out_reference(w, spec.kernel[1], spec.stride, spec.pad)
-            geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
-        elif spec.kind == "residual-add":
-            shortcut = block_inputs[block.name]
-            if block.proj_conv is not None:
-                geoms.append(space.LayerGeom(block.proj_conv, shortcut, c, h, w,
-                                             {"weight": (c, shortcut, *block.proj_conv.kernel)}, proj_of=block.name))
-                geoms.append(space.LayerGeom(block.proj_bn, c, c, h, w, _norm_shapes_reference(c), proj_of=block.name))
-            elif shortcut != c:
-                raise InputError(f"identity shortcut of block '{block.name}' sees {shortcut} vs {c} channels")
-            geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
-        elif spec.kind == "bn":
-            geoms.append(space.LayerGeom(spec, c, c, h, w, _norm_shapes_reference(c)))
-        else:  # act
-            geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
+                geoms.append(space.LayerGeom(spec, cin, c, h, w, {"weight": (c, cin, *spec.kernel)}, proj_of=proj_of))
+            elif spec.kind == "fc":
+                c = _scaled_reference(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
+                n_in = cin * h * w
+                shapes = {"weight": (n_in, c)}
+                if i + 1 == len(items) or not (isinstance(items[i + 1], templates.LayerSpec) and items[i + 1].kind == "bn"):
+                    shapes["bias"] = (c,)
+                geoms.append(space.LayerGeom(spec, cin, c, 1, 1, shapes, in_features=n_in, proj_of=proj_of))
+                h = w = 1
+            elif spec.kind == "pool":
+                if spec.pool_op == "global_avg":
+                    h = w = 1
+                else:
+                    h = _conv_out_reference(h, spec.kernel[0], spec.stride, spec.pad)
+                    w = _conv_out_reference(w, spec.kernel[1], spec.stride, spec.pad)
+                geoms.append(space.LayerGeom(spec, c, c, h, w, {}, proj_of=proj_of))
+            elif spec.kind == "bn":
+                geoms.append(space.LayerGeom(spec, c, c, h, w, _norm_shapes_reference(c), proj_of=proj_of))
+            else:  # act
+                geoms.append(space.LayerGeom(spec, c, c, h, w, {}, proj_of=proj_of))
+        return c, h, w
+
+    walk(template.layers, *template.input_shape)
     return geoms
 
 

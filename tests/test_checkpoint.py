@@ -12,6 +12,8 @@ from binwidth import net as net_mod
 from binwidth import space, templates
 from binwidth.errors import FormatError, InputError
 
+from helpers import replace_layer
+
 
 def small_ckpt(seed=0):
     t = templates.vgg_small_mini()
@@ -267,8 +269,7 @@ class TestInheritance:
         # A gene on resnet_mini's identity-block output conv: stem 0.5 then
         # breaks the tie to the block input, an error of the child's walk.
         t = templates.resnet_mini()
-        layers = tuple(dataclasses.replace(l, base_out=16, gene_index=t.n_genes) if l.name == "s1b1_conv2" else l
-                       for l in t.layers)
+        layers = replace_layer(t.layers, "s1b1_conv2", base_out=16, gene_index=t.n_genes)
         t = dataclasses.replace(t, layers=layers, n_genes=t.n_genes + 1)
         code = (0.5,) + (1.0,) * (t.n_genes - 1)
         with pytest.raises(InputError, match="identity shortcut"):

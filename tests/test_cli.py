@@ -92,6 +92,14 @@ class TestFlops:
         assert cli.main(["flops", "--template", "vgg_small"]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_code_and_uniform_together_are_refused(self, tmp_path, capsys):
+        code_path = str(tmp_path / "code.json")
+        space.write_code_file(code_path, "vgg_small_mini", space.uniform_code(1, 4))
+        with pytest.raises(SystemExit) as e:
+            cli.main(["flops", "--template", "vgg_small_mini", "--code", code_path, "--uniform", "2"])
+        assert e.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_unknown_template_is_input_error(self, capsys):
         assert cli.main(["flops", "--template", "nope", "--uniform", "1"]) == 2
 
@@ -255,6 +263,16 @@ class TestInherit:
         assert serialize_checkpoint(read_checkpoint(out_path)) == serialize_checkpoint(
             read_checkpoint(sup_path)
         )
+
+    def test_supernet_missing_an_array_is_input_error(self, tmp_path, capsys):
+        sup = read_checkpoint(supernet_ckpt(tmp_path, "resnet_mini"))
+        del sup.arrays["s1b1_conv1.weight"]
+        sup_path = str(tmp_path / "partial.ckpt")
+        write_checkpoint(sup_path, sup)
+        out_path = str(tmp_path / "child.ckpt")
+        assert cli.main(["inherit", "--supernet", sup_path, "--uniform", "1", "--out", out_path]) == 2
+        assert "supernet lacks 1 array(s) of 'resnet_mini': s1b1_conv1.weight" in capsys.readouterr().err
+        assert not os.path.exists(out_path)
 
 
 class TestReportVerb:

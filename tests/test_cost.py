@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from binwidth import cost, space, templates
 from binwidth import net as net_mod
 from binwidth.errors import InputError
-from helpers import count_cost_reference, layer_geometry_reference
+from helpers import count_cost_reference, layer_geometry_reference, replace_layer, specs
 
 ratio = st.sampled_from(space.RATIOS)
 
@@ -146,10 +146,9 @@ class TestWeightBits:
     def test_bits_match_the_instantiated_weight_arrays(self, name, code):
         t = templates.get_template(name)
         net = net_mod.instantiate(t, code, seed=0)
-        specs = [l for l in t.layers if l.kind in ("conv", "fc")]
-        specs += [b.proj_conv for b in t.blocks if b.proj_conv is not None]
-        assert sum(k.endswith(".weight") for k in net.params) == len(specs)
-        sizes = [(net.params[l.name + ".weight"].size, l.binarized) for l in specs]
+        weighted = [l for l in specs(t) if l.kind in ("conv", "fc")]
+        assert sum(k.endswith(".weight") for k in net.params) == len(weighted)
+        sizes = [(net.params[l.name + ".weight"].size, l.binarized) for l in weighted]
         assert cost.count_cost(t, code).weight_bits == sum(n + 32 if b else 32 * n for n, b in sizes)
 
     def test_binary_dominates_storage_compression(self):
@@ -199,8 +198,7 @@ class TestReferenceWalk:
         # block input then holds for some codes only, and the uniform-1x
         # baseline breaks it when the two base widths differ.
         t = templates.resnet_mini()
-        layers = tuple(dataclasses.replace(l, base_out=base, gene_index=t.n_genes) if l.name == "s1b1_conv2" else l
-                       for l in t.layers)
+        layers = replace_layer(t.layers, "s1b1_conv2", base_out=base, gene_index=t.n_genes)
         t = dataclasses.replace(t, layers=layers, n_genes=t.n_genes + 1)
         code = (stem,) + (1.0,) * (t.n_genes - 1)
 

@@ -10,7 +10,7 @@ from binwidth import net as net_mod
 from binwidth import ops, space, templates
 from binwidth.errors import InputError, ShapeError
 
-from helpers import rel_err
+from helpers import rel_err, specs
 
 
 def build(name="vgg_small_mini", ratio=1, seed=0):
@@ -62,8 +62,7 @@ class TestInit:
             k for k in net.params if k.endswith(".weight") and "fc" not in k
         ]
         t = templates.get_template(name)
-        expect = sum(1 for l in t.layers if l.kind == "conv")
-        expect += sum(1 for b in t.blocks if b.proj_conv is not None)
+        expect = sum(1 for l in specs(t) if l.kind == "conv")
         assert len(conv_like) == expect
 
 
@@ -171,7 +170,7 @@ class TestBackward:
         at = [unit.spec.name for unit in network.units].index("s2b1")
         block, after = network.units[at], network.units[at + 1]
         conv2 = next(unit for unit in block.main if unit.spec.name == "s2b1_conv2")
-        assert block.proj
+        assert block.shortcut
         entering, dead = [], []
 
         def after_backward(*args, inner=after.backward):

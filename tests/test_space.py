@@ -1,17 +1,21 @@
 """Templates, expansion codes, channel resolution, and geometry."""
 
 import dataclasses
+import itertools
 import re
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from binwidth import cost, net, space, templates
+from binwidth import cost, net, ops, space, templates
 from binwidth.errors import FormatError, InputError
+
+from helpers import layer_geometry_reference, replace_layer, specs
 
 ratio = st.sampled_from(space.RATIOS)
 
@@ -36,7 +40,7 @@ class TestTemplates:
     @pytest.mark.parametrize("name", sorted(templates.TEMPLATES))
     def test_first_and_last_weighted_layers_full_precision(self, name):
         t = templates.get_template(name)
-        weighted = [l for l in t.layers if l.kind in ("conv", "fc")]
+        weighted = [l for l in specs(t) if l.kind in ("conv", "fc")]
         assert not weighted[0].binarized
         assert not weighted[-1].binarized
         for layer in weighted[1:-1]:
@@ -44,15 +48,14 @@ class TestTemplates:
 
     def test_projection_shortcuts_are_binarized(self):
         t = templates.resnet18()
-        projections = [b.proj_conv for b in t.blocks if b.proj_conv is not None]
+        projections = [l for b in t.layers if isinstance(b, templates.BlockSpec) for l in b.shortcut if l.kind == "conv"]
         assert len(projections) == 3
         assert all(p.binarized for p in projections)
 
     def test_resnet18_has_twenty_convs_and_classifier(self):
         t = templates.resnet18()
-        convs = sum(1 for l in t.layers if l.kind == "conv")
-        convs += sum(1 for b in t.blocks if b.proj_conv is not None)
-        fcs = sum(1 for l in t.layers if l.kind == "fc")
+        convs = sum(1 for l in specs(t) if l.kind == "conv")
+        fcs = sum(1 for l in specs(t) if l.kind == "fc")
         assert convs == 20
         assert fcs == 1
 
@@ -89,25 +92,17 @@ class TestTemplates:
         with pytest.raises(InputError, match="gened layer 'conv1' base width 0 is not positive"):
             templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
 
-    @pytest.mark.parametrize("index, changes, message", [
-        (0, {"add_layer": 7}, "block 's1b1' ends at 's1b1_bn2', not at a residual-add"),
-        (0, {"first_layer": 8}, "block 's1b1' spans layers 8..8, not an ordered range within the 26 layers"),
-        (2, {"add_layer": 26}, "block 's3b1' spans layers 17..26, not an ordered range within the 26 layers"),
-        (1, {"first_layer": 7}, "blocks 's1b1' and 's2b1' overlap at layer 's1b1_bn2'"),
-        (1, {"proj_bn": None}, "block 's2b1' needs both a projection conv and a projection bn, or neither"),
-        (1, {"proj_conv": None}, "block 's2b1' needs both a projection conv and a projection bn, or neither"),
-    ], ids=["add_not_residual_add", "empty_range", "past_the_end", "overlap", "conv_without_bn", "bn_without_conv"])
-    def test_rejects_malformed_block_table_when_built(self, index, changes, message):
+    @pytest.mark.parametrize("layer, message", [
+        ("s2b1_proj_conv", "block 's2b1' adds a 32x32 shortcut to a 16x16 main path"),
+        ("s1b1_conv1", "block 's1b1' adds a 32x32 shortcut to a 16x16 main path"),
+    ], ids=["stride_1_projection", "stride_2_identity_block"])
+    def test_rejects_branches_of_different_extent_when_built(self, layer, message):
+        # The projection's stride is no longer assumed: each branch walks
+        # its own kernels, strides and pads from the block input's extent.
         t = templates.resnet_mini()
-        blocks = list(t.blocks)
-        blocks[index] = dataclasses.replace(blocks[index], **changes)
+        stride = 1 if layer == "s2b1_proj_conv" else 2
         with pytest.raises(InputError, match=re.escape(message)):
-            dataclasses.replace(t, blocks=tuple(blocks))
-
-    def test_rejects_residual_add_that_ends_no_block(self):
-        t = templates.resnet_mini()
-        with pytest.raises(InputError, match="residual-add 's2b1_add' ends no block"):
-            dataclasses.replace(t, blocks=(t.blocks[0], t.blocks[2]))
+            dataclasses.replace(t, layers=replace_layer(t.layers, layer, stride=stride))
 
     @pytest.mark.parametrize("name", sorted(templates.TEMPLATES))
     def test_library_never_calls_block_at(self, name, monkeypatch):
@@ -210,20 +205,22 @@ class TestResolveChannels:
     def test_channel_consistency_along_every_edge(self, name, data):
         t = templates.get_template(name)
         code = data.draw(code_for(name))
-        ch = space.resolve_channels(t, code)
-        geoms = space.layer_geometry(t, code)
-        prev_out = t.input_shape[0]
-        for g in geoms:
-            if g.proj_of is not None:
-                continue  # shortcut path checked via the add below
-            assert g.in_ch == prev_out, g.spec.name
-            prev_out = g.out_ch
-        # Residual adds: both summands already forced equal by construction.
-        for b in t.blocks:
-            add_name = t.layers[b.add_layer].name
-            assert ch[add_name][0] == ch[add_name][1]
-            if b.proj_conv is not None:
-                assert ch[b.proj_conv.name][1] == ch[t.layers[b.add_layer - 1].name][1]
+        geoms = {g.spec.name: g for g in space.layer_geometry(t, code)}
+
+        def walk(items, c):
+            for spec in items:
+                assert geoms[spec.name].in_ch == c, spec.name
+                c = geoms[spec.name].out_ch
+            return c
+
+        c = t.input_shape[0]
+        for item in t.layers:
+            if isinstance(item, templates.BlockSpec):
+                main = walk(item.main, c)
+                assert walk(item.shortcut, c) == main, item.name  # both summands of the add
+                c = main
+            else:
+                c = walk([item], c)
 
 
 class TestGeometry:
@@ -251,6 +248,99 @@ class TestGeometry:
         main = by_name["s2b1_conv2"]
         assert (proj.h_out, proj.w_out) == (main.h_out, main.w_out)
         assert proj.out_ch == main.out_ch
+
+
+@st.composite
+def drawn_templates(draw):
+    """A small template: a stem conv, a few conv/bn/act/pool layers and
+    residual blocks, then an fc head; most build, some are malformed."""
+    names = itertools.count()
+    genes = itertools.count()
+
+    def conv(binarized=True, gened=True):
+        k = draw(st.sampled_from((1, 2, 3)))
+        pad = k // 2 if draw(st.booleans()) else draw(st.integers(0, k // 2 + 1))
+        return templates.LayerSpec(
+            f"conv{next(names)}", "conv", (k, k), draw(st.sampled_from((1, 1, 2))), pad,
+            draw(st.sampled_from((4, 8))) if gened else 0, binarized, next(genes) if gened else None)
+
+    def simple(force_gene):
+        kind = draw(st.sampled_from(("conv", "conv", "bn", "act", "pool", "gap")))
+        if kind == "conv":
+            return conv(gened=force_gene or draw(st.booleans()))
+        if kind == "pool":
+            k = draw(st.integers(1, 3))
+            return templates.LayerSpec(f"pool{next(names)}", "pool", (k, k), draw(st.integers(1, 2)),
+                                       draw(st.integers(0, k // 2)))
+        if kind == "gap":
+            return templates.LayerSpec(f"gap{next(names)}", "pool", pool_op="global_avg")
+        return templates.LayerSpec(f"{kind}{next(names)}", kind)
+
+    layers = [conv(binarized=False)]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            main = [simple(force_gene=False) for _ in range(draw(st.integers(1, 4)))]
+            shortcut = [conv(gened=draw(st.booleans()))] if draw(st.booleans()) else []
+            shortcut += [templates.LayerSpec(f"bn{next(names)}", "bn")] if draw(st.booleans()) else []
+            layers.append(templates.BlockSpec(f"block{next(names)}", main, shortcut))
+        else:
+            layers.append(simple(force_gene=True))
+    if draw(st.booleans()):
+        layers += [templates.LayerSpec("fc_hidden", "fc", base_out=8, binarized=True, gene_index=next(genes))]
+        layers += [templates.LayerSpec(n, k) for n, k in (("bn_head", "bn"), ("act_head", "act"))
+                   if draw(st.booleans())]
+    layers.append(templates.LayerSpec("fc", "fc", base_out=3))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(3, 10)), draw(st.integers(3, 10)))
+    n_genes = next(genes)
+    code = draw(st.tuples(*[st.sampled_from(space.RATIOS)] * n_genes))
+    return layers, shape, n_genes, code
+
+
+def _recording(fn, shapes):
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        shapes.append(out[0].shape[1:] + (1,) * (4 - out[0].ndim))  # an fc output as (c, 1, 1)
+        return out
+    return recorded
+
+
+class TestDrawnTemplates:
+    """Every template that builds runs as its plan says and is priced as it runs."""
+
+    @given(drawn=drawn_templates())
+    @settings(max_examples=200, deadline=None)
+    def test_builds_and_runs_as_planned_or_is_rejected(self, drawn):
+        layers, shape, n_genes, code = drawn
+        try:
+            t = templates.NetworkTemplate("drawn", layers, shape, 3, n_genes)
+        except InputError as e:
+            # One statistic per message: names and numbers blanked.
+            event("rejected when built: " + re.sub(r"'[^']*'|[0-9]+", "_", str(e)))
+            return
+        try:
+            network = net.instantiate(t, code, seed=0)
+        except InputError as e:  # a tie between a block's two branches, broken by this code
+            event("rejected at this code")
+            assert "identity shortcut" in str(e)
+            with pytest.raises(InputError, match="identity shortcut"):
+                cost.count_cost(t, code)
+            return
+        event("ran")
+        geoms = space.layer_geometry(t, code)
+        assert geoms == layer_geometry_reference(t, code)
+        x = np.random.default_rng(0).standard_normal((2, *shape)).astype(np.float32)
+        shapes = []
+        with mock.patch.object(ops, "conv2d_forward", _recording(ops.conv2d_forward, shapes)), \
+                mock.patch.object(ops, "fully_connected_forward", _recording(ops.fully_connected_forward, shapes)):
+            logits = network.forward(x, train=True)
+        assert logits.shape == (2, 3)
+        assert shapes == [(g.out_ch, g.h_out, g.w_out) for g in geoms if g.spec.kind in ("conv", "fc")]
+        priced = cost.count_cost(t, code).layers
+        assert len(priced) == len(shapes)
+        for layer, (_, h, w) in zip(priced, shapes):
+            assert layer.macs == network.params[layer.name + ".weight"].size * h * w, layer.name
+        network.backward(np.ones_like(logits))
+        assert {k: g.shape for k, g in network.grads.items()} == {k: p.shape for k, p in network.params.items()}
 
 
 class TestCodeFiles:
