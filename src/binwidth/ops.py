@@ -16,7 +16,25 @@ Conventions
   sample at least), so the matrix stays in a core's L2 cache and no
   whole-batch patch matrix is ever live. Its ctx holds the padded input,
   from which the backward pass rebuilds each chunk's patch matrix.
+* The chunks run on lanes: the calling thread and one helper thread per
+  further CPU in the process's affinity mask (`taskset` bounds them).
+  Chunk i goes to lane i mod k. Each chunk writes only its own slices of
+  the output and gradient buffers, and the weight gradient is still one
+  sum in the calling thread, so every bit is the same at any lane count.
+  Helpers allocate nothing: each lane reuses buffers that the calling
+  thread allocates before it dispatches (per-thread malloc arenas would
+  otherwise keep the helpers' freed temporaries resident). Helpers run
+  in the caller's `contextvars` context, so `np.errstate` holds on every
+  lane. With more than one lane, BLAS runs one thread; a forked child
+  starts its own helpers, and `use_one_core` sets a process to one lane.
 """
+
+import concurrent.futures
+import contextvars
+import ctypes
+import glob
+import math
+import os
 
 import numpy as np
 
@@ -45,8 +63,8 @@ def _pad_nchw(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
 
-def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    """[N,C,Hp,Wp] -> [N, C*kh*kw, hout*wout] patch matrix (copies)."""
+def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int, buf: np.ndarray) -> np.ndarray:
+    """[N,C,Hp,Wp] -> [N, C*kh*kw, hout*wout] patch matrix, copied into the first N rows of buf."""
     n, c, _, _ = x_pad.shape
     sn, sc, sh, sw = x_pad.strides
     patches = np.lib.stride_tricks.as_strided(
@@ -55,7 +73,9 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: i
         strides=(sn, sc, sh, sw, stride * sh, stride * sw),
         writeable=False,
     )
-    return patches.reshape(n, c * kh * kw, hout * wout)
+    cols = buf[:n]
+    np.copyto(cols.reshape(patches.shape), patches)
+    return cols
 
 
 def _col2im_add(cols: np.ndarray, gx_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> None:
@@ -67,11 +87,91 @@ def _col2im_add(cols: np.ndarray, gx_pad: np.ndarray, kh: int, kw: int, stride: 
             gx_pad[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, :, i, j]
 
 
-def _batch_chunks(x_pad: np.ndarray, kh: int, kw: int, hout: int, wout: int) -> list:
-    """Batch slices whose patch matrices hold at most CONV_CHUNK_BYTES, one sample at least."""
-    n, c = x_pad.shape[:2]
-    step = max(1, CONV_CHUNK_BYTES // (c * kh * kw * hout * wout * x_pad.itemsize))
-    return [slice(a, a + step) for a in range(0, n, step)]
+# Lanes a conv runs its chunks on; None is one per CPU in the affinity
+# mask, read at each call. `use_one_core` sets it to 1.
+_lanes: int | None = None
+# (helper count, executor) once a conv has run on more than one lane.
+_helpers: tuple[int, concurrent.futures.ThreadPoolExecutor] | None = None
+
+
+def usable_cpus() -> int:
+    """CPUs in this process's affinity mask (`taskset` restricts it), or 1
+    where the platform lacks the affinity call."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def use_one_core() -> None:
+    """Compute on one lane with one BLAS thread from now on: a process
+    that shares the CPUs with its siblings, such as a search pool worker."""
+    global _lanes
+    _lanes = 1
+    _one_blas_thread()
+
+
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS bundled with numpy's Linux wheels to one thread;
+    other BLAS builds take their thread count from OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS at start-up."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, symbol):
+                getattr(lib, symbol)(1)
+                return
+
+
+def _helper_pool(count: int) -> concurrent.futures.ThreadPoolExecutor:
+    """The executor of `count` helper threads, started at first use. The
+    lanes keep every CPU busy, so BLAS drops to one thread first."""
+    global _helpers
+    if _helpers is None or _helpers[0] != count:
+        if _helpers is not None:
+            _helpers[1].shutdown(wait=False)
+        _one_blas_thread()
+        _helpers = (count, concurrent.futures.ThreadPoolExecutor(count, thread_name_prefix="binwidth-lane"))
+    return _helpers[1]
+
+
+def _drop_helpers() -> None:
+    # A forked child inherits the executor but none of its threads; work
+    # submitted to it would wait forever.
+    global _helpers
+    _helpers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _on_lanes(work, n: int, buffers) -> None:
+    """Call work(chunk, *lane_buffers) for each batch chunk of n samples,
+    chunk i on lane i mod k. `buffers` lists one (sample shape, dtype)
+    pair per lane buffer, the patch matrix first; a chunk's patch matrix
+    holds at most CONV_CHUNK_BYTES, one sample at least. Each lane gets
+    one array per pair, with a chunk's rows, allocated here in the
+    calling thread."""
+    if n == 0:
+        return
+    patch_shape, patch_dtype = buffers[0]
+    step = max(1, CONV_CHUNK_BYTES // (math.prod(patch_shape) * np.dtype(patch_dtype).itemsize))
+    chunks = [slice(a, a + step) for a in range(0, n, step)]
+    lanes = min(_lanes or usable_cpus(), len(chunks))
+    lane_buffers = [[np.empty((min(step, n), *shape), dtype) for shape, dtype in buffers] for _ in range(lanes)]
+
+    def lane(i: int) -> None:
+        for chunk in chunks[i::lanes]:
+            work(chunk, *lane_buffers[i])
+
+    futures = []
+    if lanes > 1:
+        pool = _helper_pool(lanes - 1)
+        futures = [pool.submit(contextvars.copy_context().run, lane, i) for i in range(1, lanes)]
+    try:
+        lane(0)
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
@@ -79,7 +179,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
 
     ctx holds the padded input (x itself when pad is 0), not the patch
     matrix. Each sample's output is the same matmul as over the whole
-    batch at once, so the chunking leaves every bit unchanged.
+    batch at once, so neither the chunking nor the lanes change a bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
@@ -93,8 +193,11 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
     x_pad = _pad_nchw(x, pad)
     wmat = w.reshape(cout, -1)
     out = np.empty((n, cout, hout * wout), dtype=np.result_type(x, w))
-    for chunk in _batch_chunks(x_pad, kh, kw, hout, wout):
-        np.matmul(wmat, _im2col(x_pad[chunk], kh, kw, stride, hout, wout), out=out[chunk])
+
+    def run(chunk, cols):
+        np.matmul(wmat, _im2col(x_pad[chunk], kh, kw, stride, hout, wout, cols), out=out[chunk])
+
+    _on_lanes(run, n, [((cin * kh * kw, hout * wout), x_pad.dtype)])
     return out.reshape(n, cout, hout, wout), (x_pad, w, stride, pad, hout, wout)
 
 
@@ -112,10 +215,15 @@ def conv2d_backward(ctx, gout: np.ndarray):
     wmat_t = w.reshape(cout, -1).T
     gx_pad = np.zeros(x_pad.shape, dtype=np.result_type(gout, w))
     parts = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gout, x_pad))
-    for chunk in _batch_chunks(x_pad, kh, kw, hout, wout):
-        cols = _im2col(x_pad[chunk], kh, kw, stride, hout, wout)
+
+    def run(chunk, cols, gcols):
+        cols = _im2col(x_pad[chunk], kh, kw, stride, hout, wout, cols)
         np.matmul(go[chunk], cols.transpose(0, 2, 1), out=parts[chunk])
-        _col2im_add(np.matmul(wmat_t, go[chunk]), gx_pad[chunk], kh, kw, stride, hout, wout)
+        gcols = np.matmul(wmat_t, go[chunk], out=gcols[: len(cols)])
+        _col2im_add(gcols, gx_pad[chunk], kh, kw, stride, hout, wout)
+
+    patch = (cin * kh * kw, hout * wout)
+    _on_lanes(run, n, [(patch, x_pad.dtype), (patch, np.result_type(w, go))])
     gx = gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
     return gx, parts.sum(axis=0).reshape(w.shape)
 

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 
+from . import ops
 from .checkpoint import (
     Checkpoint,
     atomic_write_text,
@@ -68,10 +69,8 @@ def _drop_torn_tail(path: str) -> bool:
 def _search_workers() -> int:
     """Processes a search evaluates in: one per CPU in this process's
     affinity mask (`taskset` restricts it), or 1 where the platform lacks
-    the affinity call or fork."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    return len(os.sched_getaffinity(0))
+    fork."""
+    return ops.usable_cpus() if hasattr(os, "fork") else 1
 
 
 def _train_supernet(cfg: RunConfig, proxy_train: Dataset, path: str) -> Checkpoint:

@@ -23,7 +23,6 @@ import concurrent.futures
 import ctypes
 import dataclasses
 import functools
-import glob
 import json
 import multiprocessing
 import os
@@ -34,6 +33,7 @@ from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
+from . import ops
 from .checkpoint import Checkpoint, inherit_weights
 from .cost import CostReport, count_cost
 from .data import Dataset
@@ -383,30 +383,19 @@ _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 def _install_evaluator(evaluator: Evaluator, parent: int) -> None:
     """Pool initializer. The workers already keep every CPU busy, so each
-    uses one BLAS thread: several BLAS threads per worker, spinning
-    against each other, made a search two to four times slower. On Linux
-    a worker also dies with `parent`: a parent killed before it can shut
-    the pool down would otherwise leave its workers blocked forever."""
+    computes on one lane with one BLAS thread: several BLAS threads per
+    worker, spinning against each other, made a search two to four times
+    slower. On Linux a worker also dies with `parent`: a parent killed
+    before it can shut the pool down would otherwise leave its workers
+    blocked forever."""
     global _worker_evaluator
     _worker_evaluator = evaluator
-    _one_blas_thread()
+    ops.use_one_core()
     libc = ctypes.CDLL(None)
     if hasattr(libc, "prctl"):
         libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
         if os.getppid() != parent:  # it died before prctl took effect
             os._exit(1)
-
-
-def _one_blas_thread() -> None:
-    """Set the OpenBLAS bundled with numpy's Linux wheels to one thread;
-    other BLAS builds take their thread count from OPENBLAS_NUM_THREADS
-    or OMP_NUM_THREADS at start-up."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, symbol):
-                getattr(lib, symbol)(1)
-                return
 
 
 def _evaluate_in_worker(code: ExpansionCode, gen: int, idx: int, eval_seed: int) -> Individual:

@@ -94,7 +94,8 @@ class GeometryPlan:
     indexes the vector `channels` returns: gene widths by gene index, then
     fixed counts (the image channels, an ungened fc's width). `ties` lists,
     in walk order, each block whose two branches end at sources that can
-    differ.
+    differ, as (block, the shortcut's last layer or None, shortcut source,
+    main-path source).
     """
 
     __slots__ = ("entries", "weighted", "fixed", "bases", "ties")
@@ -102,7 +103,7 @@ class GeometryPlan:
     def __init__(self, template: "NetworkTemplate"):
         self.entries: list[tuple] = []
         self.weighted: list[tuple] = []
-        self.ties: list[tuple[str, int, int]] = []
+        self.ties: list[tuple[str, str | None, int, int]] = []
         self.bases = [0] * template.n_genes  # each gene's base width
         self.fixed = [template.input_shape[0]]
         self._walk(template.layers, template.n_genes, *template.input_shape[1:])
@@ -122,7 +123,7 @@ class GeometryPlan:
                     short_ext, main_ext = ("flat" if f else f"{y}x{x}" for _, y, x, f in (short, main))
                     raise InputError(f"block '{spec.name}' adds a {short_ext} shortcut to a {main_ext} main path")
                 if short[0] != main[0]:
-                    self.ties.append((spec.name, short[0], main[0]))
+                    self.ties.append((spec.name, spec.shortcut[-1].name if spec.shortcut else None, short[0], main[0]))
                 c, h, w, flat = main
                 continue
             if flat and spec.kind in ("conv", "pool"):
@@ -163,11 +164,15 @@ class GeometryPlan:
         """The channel count of every source, for a code validated against
         the template's gene count. A gened base width is a positive multiple
         of 4, so every candidate ratio scales it to a whole count of at
-        least 1; only an identity tie can fail."""
+        least 1; only a tie between a block's two branch ends can fail."""
         counts = [int(r * base) for r, base in zip(code, self.bases)] + self.fixed
-        for block, shortcut, c in self.ties:
-            if counts[shortcut] != counts[c]:
+        for block, last, shortcut, c in self.ties:
+            if counts[shortcut] == counts[c]:
+                continue
+            if last is None:
                 raise InputError(f"identity shortcut of block '{block}' sees {counts[shortcut]} vs {counts[c]} channels")
+            raise InputError(f"shortcut of block '{block}' ends at '{last}' with {counts[shortcut]} channels, "
+                             f"its main path with {counts[c]}")
         return counts
 
     def layers(self, code: tuple[float, ...]) -> list[LayerGeom]:

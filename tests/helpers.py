@@ -221,7 +221,10 @@ def layer_geometry_reference(template, code) -> list:
                 main = walk(spec.main, c, h, w, tie=None if spec.shortcut else c)
                 shortcut = walk(spec.shortcut, c, h, w, tie=main[0], proj_of=spec.name)
                 if shortcut[0] != main[0]:
-                    raise InputError(f"identity shortcut of block '{spec.name}' sees {shortcut[0]} vs {main[0]} channels")
+                    if not spec.shortcut:
+                        raise InputError(f"identity shortcut of block '{spec.name}' sees {shortcut[0]} vs {main[0]} channels")
+                    raise InputError(f"shortcut of block '{spec.name}' ends at '{spec.shortcut[-1].name}' "
+                                     f"with {shortcut[0]} channels, its main path with {main[0]}")
                 c, h, w = main
                 continue
             cin = c

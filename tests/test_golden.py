@@ -14,6 +14,8 @@ an intended behaviour change:
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 from binwidth import config as cm
 from binwidth import runner, space, synth, train
@@ -86,6 +88,23 @@ def test_trained_pool_checkpoint_matches_golden_hash(tmp_path):
     with open(POOL_CKPT_FIXTURE, encoding="utf-8") as f:
         want = f.read().strip()
     assert pool_checkpoint_sha256(str(tmp_path)) == want
+
+
+def test_pool_checkpoint_hash_holds_with_blas_threads_unset(tmp_path):
+    # With no thread variable, OpenBLAS starts one thread per CPU; the
+    # conv lanes set it to one thread in-process, and the bits must hold.
+    with open(POOL_CKPT_FIXTURE, encoding="utf-8") as f:
+        want = f.read().strip()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, here])
+    script = "import sys\nfrom test_golden import pool_checkpoint_sha256\nprint(pool_checkpoint_sha256(sys.argv[1]))\n"
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == want
 
 
 if __name__ == "__main__":

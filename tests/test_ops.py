@@ -2,6 +2,11 @@
 finite differences, conv, max-pool and batch norm bit for bit against
 their straightforward references."""
 
+import multiprocessing
+import os
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,28 +124,88 @@ CONV_BITWISE_CASES = [pytest.param(8, 6, 3, 16, stride, pad, None, id=f"3x3-stri
 CONV_BITWISE_CASES.append(pytest.param(1, 1, 1, 64, 1, 0, (9, 130, 200), id="1x1-single-weight"))
 
 
+# A conv's lanes: the calling thread alone, and one or two helpers with it.
+LANE_COUNTS = (1, 2, 3)
+
+
 class TestConv:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cin,cout,k,size,stride,pad,sizes", CONV_BITWISE_CASES)
-    def test_bitwise_equal_to_whole_batch_reference(self, dtype, cin, cout, k, size, stride, pad, sizes):
+    def test_bitwise_equal_to_whole_batch_reference(self, dtype, cin, cout, k, size, stride, pad, sizes, monkeypatch):
         hout = (size + 2 * pad - k) // stride + 1
         rng = np.random.default_rng(stride * 10 + pad)
         w = rng.standard_normal((cout, cin, k, k)).astype(dtype)
         for n in sizes or chunk_boundary_sizes(cin * k * k * hout * hout * np.dtype(dtype).itemsize):
             x = rng.standard_normal((n, cin, size, size)).astype(dtype)
-            out, ctx = ops.conv2d_forward(x, w, stride, pad)
-            gout = rng.standard_normal(out.shape).astype(dtype)
+            gout = rng.standard_normal((n, cout, hout, hout)).astype(dtype)
             want = conv2d_reference(x, w, stride, pad, gout)
-            for got, exp in zip((out, *ops.conv2d_backward(ctx, gout)), want):
-                assert_same_bits(got, exp)
+            for lanes in LANE_COUNTS:
+                monkeypatch.setattr(ops, "_lanes", lanes)
+                out, ctx = ops.conv2d_forward(x, w, stride, pad)
+                for got, exp in zip((out, *ops.conv2d_backward(ctx, gout)), want):
+                    assert_same_bits(got, exp)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_empty_batch(self, dtype):
+    def test_empty_batch(self, dtype, monkeypatch):
         w = np.ones((3, 2, 3, 3), dtype=dtype)
-        out, ctx = ops.conv2d_forward(np.ones((0, 2, 5, 5), dtype=dtype), w, 1, 1)
-        gx, gw = ops.conv2d_backward(ctx, np.ones(out.shape, dtype=dtype))
-        assert out.shape == (0, 3, 5, 5) and gx.shape == (0, 2, 5, 5)
-        assert_same_bits(gw, np.zeros(w.shape, dtype=dtype))
+        for lanes in LANE_COUNTS:
+            monkeypatch.setattr(ops, "_lanes", lanes)
+            out, ctx = ops.conv2d_forward(np.ones((0, 2, 5, 5), dtype=dtype), w, 1, 1)
+            gx, gw = ops.conv2d_backward(ctx, np.ones(out.shape, dtype=dtype))
+            assert out.shape == (0, 3, 5, 5) and gx.shape == (0, 2, 5, 5)
+            assert_same_bits(gw, np.zeros(w.shape, dtype=dtype))
+
+    def test_more_lanes_than_cpus_under_fast_thread_switching(self, monkeypatch):
+        # A chunk written twice, lost or written to another's slice changes bits.
+        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
+        x, w = rand((12, 3, 10, 10), 42, np.float32), rand((5, 3, 3, 3), 43, np.float32)
+        gout = rand((12, 5, 10, 10), 44, np.float32)
+        monkeypatch.setattr(ops, "_lanes", 1)
+        out, ctx = ops.conv2d_forward(x, w, 1, 1)
+        want = (out, *ops.conv2d_backward(ctx, gout))
+        monkeypatch.setattr(ops, "_lanes", ops.usable_cpus() + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                out, ctx = ops.conv2d_forward(x, w, 1, 1)
+                for got, exp in zip((out, *ops.conv2d_backward(ctx, gout)), want):
+                    assert_same_bits(got, exp)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_lanes_keep_the_callers_errstate(self, monkeypatch):
+        # One sample per chunk, so every lane runs several chunks; inf
+        # against weights of both signs makes inf - inf in every matmul.
+        monkeypatch.setattr(ops, "_lanes", 3)
+        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
+        x = np.full((9, 2, 5, 5), np.inf, dtype=np.float32)
+        w = np.where(np.arange(36).reshape(2, 2, 3, 3) % 2, 1.0, -1.0).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                out, ctx = ops.conv2d_forward(x, w, 1, 1)
+                ops.conv2d_backward(ctx, np.full(out.shape, np.inf, dtype=np.float32))
+        assert np.isnan(out).any()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_starts_its_own_helpers(self, monkeypatch):
+        # The child inherits the parent's executor but none of its threads.
+        monkeypatch.setattr(ops, "_lanes", 2)
+        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
+        x, w = rand((8, 3, 16, 16), 40, np.float32), rand((4, 3, 3, 3), 41, np.float32)
+        want = ops.conv2d(x, w, 1, 1)
+
+        def child():
+            os._exit(0 if np.array_equal(ops.conv2d(x, w, 1, 1), want) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        try:
+            assert proc.exitcode == 0
+        finally:
+            proc.kill()
 
 
 class TestFullyConnected:

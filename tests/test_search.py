@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binwidth import search, seeding, space, synth, templates, train
+from binwidth import net, ops, search, seeding, space, synth, templates, train
 from binwidth.cost import count_cost
 from binwidth.data import Dataset
 from binwidth.errors import FormatError, InputError
@@ -401,6 +402,33 @@ class TestWorkers:
         assert strip_wall_time(resumed) == strip_wall_time(serial)
         assert strip_wall_time(seen) == strip_wall_time(serial[2:])
         assert multiprocessing.active_children() == []
+
+    def test_a_search_after_training_on_lanes_runs_workers_on_one_lane(self, tmp_path, monkeypatch):
+        # A training step first starts this process's helper threads, as a
+        # supernet or a benchmark's train job does before a search.
+        monkeypatch.setattr(ops, "_lanes", 2)
+        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
+        t, cfg, evaluator = self.proxy_setup()
+        images, labels = synth.synth_gray_images(per_class=8, seed=1)
+        network = net.instantiate(t, space.uniform_code(1, t.n_genes), seed=0)
+        train.train_network(network, Dataset(images[:25], labels[:25], class_count=10),
+                            train.TrainConfig(epochs=1, batch_size=25))
+        assert ops._helpers is not None
+
+        def reporting(code, gen, idx, eval_seed):
+            (tmp_path / str(os.getpid())).write_text(str(ops._lanes))
+            return evaluator(code, gen, idx, eval_seed)
+
+        done = []
+        search_thread = threading.Thread(target=lambda: done.append(search.evolve(t, cfg, reporting, workers=2)),
+                                         daemon=True)
+        search_thread.start()
+        search_thread.join(timeout=120)
+        assert not search_thread.is_alive(), "the search hung"
+        assert done
+        lanes = {int(path.name): path.read_text() for path in tmp_path.iterdir()}
+        assert lanes and os.getpid() not in lanes
+        assert set(lanes.values()) == {"1"}
 
     def test_full_replay_starts_no_pool(self, monkeypatch):
         t, cfg = templates.resnet_mini(), small_config()

@@ -104,6 +104,21 @@ class TestTemplates:
         with pytest.raises(InputError, match=re.escape(message)):
             dataclasses.replace(t, layers=replace_layer(t.layers, layer, stride=stride))
 
+    def test_tie_error_names_the_shortcut_end_that_holds_layers(self):
+        # The shortcut is a bn of the block input (gene 0), the main path
+        # ends at gene 1: the branches tie only where the two genes agree.
+        t = templates.NetworkTemplate("probe", (
+            templates._conv("stem", 8, 3, binarized=False, gene=0),
+            templates.BlockSpec("b", (templates._conv("c1", 8, 3, gene=1),), (templates._bn("sbn"),)),
+            templates._fc("fc", 3, binarized=False),
+        ), (1, 6, 6), 3, 2)
+        net.instantiate(t, (2.0, 2.0), seed=0)
+        message = "shortcut of block 'b' ends at 'sbn' with 8 channels, its main path with 16"
+        for call in (space.layer_geometry, cost.count_cost, layer_geometry_reference,
+                     lambda t, code: net.instantiate(t, code, seed=0)):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                call(t, (1.0, 2.0))
+
     @pytest.mark.parametrize("name", sorted(templates.TEMPLATES))
     def test_library_never_calls_block_at(self, name, monkeypatch):
         def refuse(self, layer_index):
@@ -321,9 +336,11 @@ class TestDrawnTemplates:
             network = net.instantiate(t, code, seed=0)
         except InputError as e:  # a tie between a block's two branches, broken by this code
             event("rejected at this code")
-            assert "identity shortcut" in str(e)
-            with pytest.raises(InputError, match="identity shortcut"):
+            assert "shortcut of block" in str(e)
+            with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
                 cost.count_cost(t, code)
+            with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
+                layer_geometry_reference(t, code)
             return
         event("ran")
         geoms = space.layer_geometry(t, code)
