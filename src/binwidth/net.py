@@ -127,17 +127,21 @@ class _ActUnit(_Unit):
 
 class _PoolUnit(_Unit):
     def _forward(self, net, x, train):
-        if self.spec.pool_op == "global_avg":
-            return ops.global_avg_pool_forward(x)
-        return ops.max_pool2d_forward(x, self.spec.kernel[0], self.spec.stride, self.spec.pad)
+        return ops.max_pool2d_forward(x, self.spec.kernel, self.spec.stride, self.spec.pad)
 
     def _backward(self, net, ctx, g):
-        if self.spec.pool_op == "global_avg":
-            return ops.global_avg_pool_backward(ctx, g)
         return ops.max_pool2d_backward(ctx, g)
 
 
-_LAYER_UNITS = {"conv": _ConvUnit, "bn": _BNUnit, "act": _ActUnit, "pool": _PoolUnit}
+class _GapUnit(_Unit):
+    def _forward(self, net, x, train):
+        return ops.global_avg_pool_forward(x)
+
+    def _backward(self, net, ctx, g):
+        return ops.global_avg_pool_backward(ctx, g)
+
+
+_LAYER_UNITS = {"conv": _ConvUnit, "bn": _BNUnit, "act": _ActUnit, "pool": _PoolUnit, "gap": _GapUnit}
 
 
 def _units(items, params: dict) -> list:

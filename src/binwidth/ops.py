@@ -90,7 +90,8 @@ def _col2im_add(cols: np.ndarray, gx_pad: np.ndarray, kh: int, kw: int, stride: 
 # Lanes a conv runs its chunks on; None is one per CPU in the affinity
 # mask, read at each call. `use_one_core` sets it to 1.
 _lanes: int | None = None
-# (helper count, executor) once a conv has run on more than one lane.
+# (helper count, executor) once a conv has run on more than one lane. The
+# count is the lane cap less one, so a conv's chunk count never rebuilds it.
 _helpers: tuple[int, concurrent.futures.ThreadPoolExecutor] | None = None
 
 
@@ -155,7 +156,7 @@ def _on_lanes(work, n: int, buffers) -> None:
     patch_shape, patch_dtype = buffers[0]
     step = max(1, CONV_CHUNK_BYTES // (math.prod(patch_shape) * np.dtype(patch_dtype).itemsize))
     chunks = [slice(a, a + step) for a in range(0, n, step)]
-    lanes = min(_lanes or usable_cpus(), len(chunks))
+    lanes = min(cap := _lanes or usable_cpus(), len(chunks))
     lane_buffers = [[np.empty((min(step, n), *shape), dtype) for shape, dtype in buffers] for _ in range(lanes)]
 
     def lane(i: int) -> None:
@@ -164,7 +165,7 @@ def _on_lanes(work, n: int, buffers) -> None:
 
     futures = []
     if lanes > 1:
-        pool = _helper_pool(lanes - 1)
+        pool = _helper_pool(cap - 1)
         futures = [pool.submit(contextvars.copy_context().run, lane, i) for i in range(1, lanes)]
     try:
         lane(0)

@@ -27,6 +27,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, get_type_hints
@@ -78,11 +79,12 @@ class SearchConfig:
 
 
 # Field type -> (the JSON values it takes, their test, the conversion).
-# `type(v) is int` keeps bools, an int subclass, out of the numbers.
+# `type(v) is int` keeps bools, an int subclass, out of the numbers; NaN,
+# infinities and ints beyond the largest float fail the float's bound.
 JSON_TYPES = {
     bool: ("true or false", lambda v: isinstance(v, bool), bool),
     int: ("an integer", lambda v: type(v) is int, int),
-    float: ("a number", lambda v: type(v) is int or isinstance(v, float), float),
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float),
     str: ("a string", lambda v: isinstance(v, str), str),
     tuple[int, ...]: ("a list of integers", lambda v: isinstance(v, list) and all(type(x) is int for x in v), tuple),
     ExpansionCode: ("a list of ratios", lambda v: isinstance(v, list), validate_code),

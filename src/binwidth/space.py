@@ -62,12 +62,12 @@ def layer_geometry(template: NetworkTemplate, code: Iterable[float]) -> list[Lay
     an identity shortcut has its ungened convs' output tied to the block
     input; an ungened conv on a shortcut adopts the main path's output
     width, so a projection takes the block's output gene. The first
-    conv's input and the classifier's output stay fixed at the image
-    channel count and the class count.
+    conv's input and an ungened fc's output stay fixed: the image channel
+    count, and the fc's base width (the class count, at the final fc).
 
-    A conv owns `weight` [out, in, kh, kw]; an fc owns `weight`
-    [in_features, out] and, when no norm layer follows it, `bias` [out];
-    a bn owns `gamma`, `beta`, `running_mean` and `running_var`, each [c].
+    A conv owns `weight` [out, in, k, k]; an fc owns `weight` [flattened
+    input, out] and, when no norm layer follows it, `bias` [out]; a bn
+    owns `gamma`, `beta`, `running_mean` and `running_var`, each [c].
     Convs carry no bias because a norm layer always follows them.
     """
     code = validate_code(code, template.n_genes)

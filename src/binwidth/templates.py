@@ -7,8 +7,9 @@ counts are stated for the 1x configuration and scaled by an expansion
 code at instantiation time; each layer's input width follows from the
 layers before it. A residual block (`BlockSpec`) holds its own layers: a
 main path and a shortcut, both run from the block input and added. A
-template checks its structure once, when it is built, and keeps the
-walk's result as `template.plan` (`GeometryPlan`).
+template is its name, items and input shape: one walk, run when it is
+built and kept as `template.plan` (`GeometryPlan`), checks every field it
+reads and derives `n_genes` and `class_count`.
 
 Gene layout convention for residual families: one gene for the stem
 output, one gene per block mid-width, and one gene per stage output
@@ -20,22 +21,25 @@ output gene.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .errors import InputError
+
+KINDS = ("conv", "fc", "pool", "gap", "bn", "act")  # pool is a max pool, gap global average pooling
 
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer. A conv or pool reads `kernel` (a square window), `stride`
+    and `pad`; a conv or fc reads `base_out`, `binarized` and `gene_index`."""
+
     name: str
-    kind: str  # conv | fc | pool | bn | act
-    kernel: tuple[int, int] = (0, 0)
+    kind: str  # one of KINDS
+    kernel: int = 0
     stride: int = 1
     pad: int = 0
     base_out: int = 0
     binarized: bool = False
     gene_index: int | None = None
-    pool_op: str = "max"  # for kind == "pool": "max" or "global_avg"
 
 
 @dataclass(frozen=True)
@@ -63,62 +67,77 @@ class LayerGeom:
     h_out: int
     w_out: int
     shapes: dict[str, tuple[int, ...]]
-    in_features: int = 0  # fc only: flattened input size
-    proj_of: str | None = None  # on a shortcut's entries: the block's name
 
 
-def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
-    if size + 2 * pad < k:
-        raise InputError(f"kernel {k} exceeds padded extent {size + 2 * pad}")
-    return (size + 2 * pad - k) // stride + 1
-
-
-def _specs(items: Iterable[LayerSpec | BlockSpec]) -> Iterator[LayerSpec]:
-    """Every layer of `items` in walk order: a block's main path, then its shortcut."""
-    for item in items:
-        if isinstance(item, BlockSpec):
-            yield from _specs(item.main + item.shortcut)
-        else:
-            yield item
+def _whole(spec: LayerSpec, key: str, least: int) -> int:
+    """The layer's field `key`, checked to be an int of at least `least`."""
+    value = getattr(spec, key)
+    if type(value) is not int or value < least:
+        raise InputError(f"{spec.kind} '{spec.name}' has {key} {value!r}; it must be an integer >= {least}")
+    return value
 
 
 class GeometryPlan:
     """A template's one structural walk, run when the template is built:
-    it checks every layer's kind and extent and that each block's two
-    branches meet at one extent, and keeps what no code changes.
+    it checks every field it reads, that each block's two branches meet at
+    one extent, the gene table and the precision rule, and keeps what no
+    code changes.
 
     `entries` holds every executed layer in walk order as (spec, in
-    source, out source, h_out, w_out, fc input extent, fc bias flag,
-    proj_of); `weighted` every conv/fc entry as (spec, in source, out
-    source, weights per in/out channel pair, output positions). A source
-    indexes the vector `channels` returns: gene widths by gene index, then
-    fixed counts (the image channels, an ungened fc's width). `ties` lists,
-    in walk order, each block whose two branches end at sources that can
-    differ, as (block, the shortcut's last layer or None, shortcut source,
-    main-path source).
+    source, out source, h_out, w_out, fc input extent, fc bias flag);
+    `weighted` every conv/fc entry as (spec, in source, out source,
+    weights per in/out channel pair, output positions). A source indexes
+    the vector `channels` returns: gene widths by gene index, then the
+    `fixed` counts by negative index: the image channels at -1 and each
+    ungened fc's width, in walk order, at -2, -3, ...; the final fc's, the
+    class count, is `fixed[0]`. `ties` lists, in walk order, each block
+    whose two branch ends are sources that can differ, as (block, the
+    shortcut's last layer or None, shortcut source, main-path source).
     """
 
     __slots__ = ("entries", "weighted", "fixed", "bases", "ties")
 
     def __init__(self, template: "NetworkTemplate"):
+        name, shape = template.name, template.input_shape
+        if len(shape) != 3 or any(type(n) is not int or n < 1 for n in shape):
+            raise InputError(f"template '{name}' input shape {shape} is not three positive integers")
         self.entries: list[tuple] = []
         self.weighted: list[tuple] = []
         self.ties: list[tuple[str, str | None, int, int]] = []
-        self.bases = [0] * template.n_genes  # each gene's base width
-        self.fixed = [template.input_shape[0]]
-        self._walk(template.layers, template.n_genes, *template.input_shape[1:])
+        self.fixed = [shape[0]]
+        genes: dict[int, LayerSpec] = {}
+        self._walk(template.layers, genes, -1, *shape[1:])
+        names = [entry[0].name for entry in self.entries]
+        if len(set(names)) != len(names):
+            raise InputError(f"template '{name}' names two layers '{next(n for n in names if names.count(n) > 1)}'")
+        if sorted(genes) != list(range(len(genes))):
+            raise InputError(f"template '{name}' gene indices {sorted(genes)} are not 0..{len(genes) - 1}")
+        self.bases = [genes[i].base_out for i in range(len(genes))]  # each gene's base width
+        convs = [spec for spec, *_ in self.weighted if spec.kind == "conv"]
+        fcs = [spec for spec, *_ in self.weighted if spec.kind == "fc"]
+        if not convs or not fcs:
+            raise InputError(f"template '{name}' needs at least one conv and one fc layer")
+        if fcs[-1].gene_index is not None:
+            raise InputError(f"final fc '{fcs[-1].name}' carries gene {fcs[-1].gene_index}, "
+                             "but its width is the class count")
+        for spec, *_ in self.weighted:  # full precision exactly at the first conv and the final fc
+            full_precision = spec is convs[0] or spec is fcs[-1]
+            if spec.binarized == full_precision:
+                raise InputError(f"layer '{spec.name}' of template '{name}' must be "
+                                 f"{'full-precision' if full_precision else 'binarized'}")
 
-    def _walk(self, items, c: int, h: int, w: int, flat: bool = False, tie: int | None = None,
-              proj_of: str | None = None) -> tuple[int, int, int, bool]:
+    def _walk(self, items, genes: dict, c: int, h: int, w: int, flat: bool = False,
+              tie: int | None = None) -> tuple[int, int, int, bool]:
         """Walk `items` from channel source `c` at extent h x w, `flat` once
-        an fc or global pooling has dropped the spatial axes; return the
-        output's (source, h, w, flat). An ungened conv takes source `tie`: a
-        block walks its main path tied to the block input when its shortcut
-        is the identity, then its shortcut tied to the main path's output."""
+        an fc or global pooling has dropped the spatial axes, and enter each
+        gened layer in `genes`; return the output's (source, h, w, flat). An
+        ungened conv takes source `tie`: a block walks its main path tied to
+        the block input when its shortcut is the identity, then its
+        shortcut tied to the main path's output."""
         for i, spec in enumerate(items):
             if isinstance(spec, BlockSpec):
-                main = self._walk(spec.main, c, h, w, flat, None if spec.shortcut else c)
-                short = self._walk(spec.shortcut, c, h, w, flat, main[0], spec.name)
+                main = self._walk(spec.main, genes, c, h, w, flat, None if spec.shortcut else c)
+                short = self._walk(spec.shortcut, genes, c, h, w, flat, main[0])
                 if short[1:] != main[1:]:
                     short_ext, main_ext = ("flat" if f else f"{y}x{x}" for _, y, x, f in (short, main))
                     raise InputError(f"block '{spec.name}' adds a {short_ext} shortcut to a {main_ext} main path")
@@ -126,38 +145,49 @@ class GeometryPlan:
                     self.ties.append((spec.name, spec.shortcut[-1].name if spec.shortcut else None, short[0], main[0]))
                 c, h, w, flat = main
                 continue
-            if flat and spec.kind in ("conv", "pool"):
+            if spec.kind not in KINDS:
+                raise InputError(f"unknown layer kind '{spec.kind}'")
+            if flat and spec.kind in ("conv", "pool", "gap"):
                 raise InputError(f"{spec.kind} '{spec.name}' needs a spatial input, but an earlier layer flattened it")
             cin = c
             if spec.kind in ("conv", "fc") and spec.gene_index is not None:
-                c = spec.gene_index
-                self.bases[c] = spec.base_out
+                c = _whole(spec, "gene_index", 0)
+                if c in genes:
+                    raise InputError(f"gene {c} assigned to both '{genes[c].name}' and '{spec.name}'")
+                if type(spec.base_out) is not int or spec.base_out <= 0:
+                    raise InputError(f"gened layer '{spec.name}' base width {spec.base_out!r} is not positive")
+                if spec.base_out % 4:
+                    raise InputError(f"gened layer '{spec.name}' base width {spec.base_out} is not divisible by 4")
+                genes[c] = spec
             elif spec.kind == "conv":
                 if tie is None:
                     raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
                 c = tie
             elif spec.kind == "fc":
-                c = len(self.bases) + len(self.fixed)
-                self.fixed.append(spec.base_out)
-            if spec.kind == "conv" or spec.kind == "pool" and spec.pool_op != "global_avg":
-                h = _conv_out(h, spec.kernel[0], spec.stride, spec.pad)
-                w = _conv_out(w, spec.kernel[1], spec.stride, spec.pad)
+                self.fixed.insert(0, _whole(spec, "base_out", 1))
+                c = -len(self.fixed)
+            if spec.kind in ("conv", "pool"):
+                k, stride, pad = _whole(spec, "kernel", 1), _whole(spec, "stride", 1), _whole(spec, "pad", 0)
+                if spec.kind == "pool" and pad >= k:
+                    raise InputError(f"pool '{spec.name}' pads {pad} around a {k}-wide window, "
+                                     "so a window can hold only padding")
+                if min(h, w) + 2 * pad < k:
+                    raise InputError(f"kernel {k} exceeds padded extent {min(h, w) + 2 * pad}")
+                h, w = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
             if spec.kind == "conv":
-                self.entries.append((spec, cin, c, h, w, 0, False, proj_of))
-                self.weighted.append((spec, cin, c, spec.kernel[0] * spec.kernel[1], h * w))
+                self.entries.append((spec, cin, c, h, w, 0, False))
+                self.weighted.append((spec, cin, c, k * k, h * w))
             elif spec.kind == "fc":
                 bias = i + 1 == len(items) or getattr(items[i + 1], "kind", None) != "bn"
-                self.entries.append((spec, cin, c, 1, 1, h * w, bias, proj_of))
+                self.entries.append((spec, cin, c, 1, 1, h * w, bias))
                 self.weighted.append((spec, cin, c, h * w, 1))
                 h = w = 1
                 flat = True
-            elif spec.kind in ("pool", "bn", "act"):
-                if spec.kind == "pool" and spec.pool_op == "global_avg":
+            else:
+                if spec.kind == "gap":
                     h = w = 1
                     flat = True
-                self.entries.append((spec, c, c, h, w, 0, False, proj_of))
-            else:
-                raise InputError(f"unknown layer kind '{spec.kind}'")
+                self.entries.append((spec, c, c, h, w, 0, False))
         return c, h, w, flat
 
     def channels(self, code: tuple[float, ...]) -> list[int]:
@@ -179,19 +209,17 @@ class GeometryPlan:
         """Every entry's `LayerGeom`, for a validated code."""
         counts = self.channels(code)
         geoms = []
-        for spec, i, o, h, w, extent, bias, proj_of in self.entries:
+        for spec, i, o, h, w, extent, bias in self.entries:
             cin, c = counts[i], counts[o]
-            n_in = 0
             if spec.kind == "conv":
-                shapes = {"weight": (c, cin, *spec.kernel)}
+                shapes = {"weight": (c, cin, spec.kernel, spec.kernel)}
             elif spec.kind == "fc":
-                n_in = cin * extent
-                shapes = {"weight": (n_in, c), "bias": (c,)} if bias else {"weight": (n_in, c)}
+                shapes = {"weight": (cin * extent, c), "bias": (c,)} if bias else {"weight": (cin * extent, c)}
             elif spec.kind == "bn":
                 shapes = {"gamma": (c,), "beta": (c,), "running_mean": (c,), "running_var": (c,)}
             else:
                 shapes = {}
-            geoms.append(LayerGeom(spec, cin, c, h, w, shapes, n_in, proj_of))
+            geoms.append(LayerGeom(spec, cin, c, h, w, shapes))
         return geoms
 
 
@@ -200,44 +228,16 @@ class NetworkTemplate:
     name: str
     layers: tuple[LayerSpec | BlockSpec, ...]
     input_shape: tuple[int, int, int]  # (C, H, W)
-    class_count: int
-    n_genes: int
 
-    plan: GeometryPlan = field(init=False, repr=False, compare=False)  # built from the fields above
+    # Derived by the plan's walk when the template is built.
+    n_genes: int = field(init=False)  # gened conv/fc layers, genes 0..n_genes - 1
+    class_count: int = field(init=False)  # the final fc's width
+    plan: GeometryPlan = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        self._validate()
-        object.__setattr__(self, "plan", GeometryPlan(self))
-
-    def _validate(self):
-        weighted = [l for l in _specs(self.layers) if l.kind in ("conv", "fc")]
-        if not weighted:
-            raise InputError(f"template '{self.name}' has no conv/fc layers")
-        convs = [l for l in weighted if l.kind == "conv"]
-        fcs = [l for l in weighted if l.kind == "fc"]
-        if not convs or not fcs:
-            raise InputError(f"template '{self.name}' needs at least one conv and one fc layer")
-        # Full precision exactly at the first conv and the final classifier.
-        for l in weighted:
-            expect_fp = l.name == convs[0].name or l.name == fcs[-1].name
-            if l.binarized == expect_fp:
-                raise InputError(
-                    f"layer '{l.name}' of template '{self.name}' must be "
-                    f"{'full-precision' if expect_fp else 'binarized'}"
-                )
-        seen = {}
-        for l in weighted:
-            if l.gene_index is not None:
-                if l.gene_index in seen:
-                    raise InputError(f"gene {l.gene_index} assigned to both '{seen[l.gene_index]}' and '{l.name}'")
-                seen[l.gene_index] = l.name
-                if l.base_out % 4 != 0:
-                    raise InputError(f"gened layer '{l.name}' base width {l.base_out} is not divisible by 4")
-                if l.base_out <= 0:
-                    raise InputError(f"gened layer '{l.name}' base width {l.base_out} is not positive")
-        if sorted(seen) != list(range(self.n_genes)):
-            raise InputError(f"template '{self.name}' gene indices {sorted(seen)} != 0..{self.n_genes - 1}")
+    def __post_init__(self):  # frozen: fields are set through the instance dict
+        self.__dict__.update(layers=tuple(self.layers), input_shape=tuple(self.input_shape))
+        plan = GeometryPlan(self)
+        self.__dict__.update(plan=plan, n_genes=len(plan.bases), class_count=plan.fixed[0])
 
     def block_at(self, index: int) -> BlockSpec | None:
         """The top-level item at `index` if it is a block, else None."""
@@ -245,12 +245,8 @@ class NetworkTemplate:
 
 
 def _conv(name, base_out, k, stride=1, pad=None, binarized=True, gene=None) -> LayerSpec:
-    if pad is None:
-        pad = k // 2
-    return LayerSpec(
-        name=name, kind="conv", kernel=(k, k), stride=stride, pad=pad,
-        base_out=base_out, binarized=binarized, gene_index=gene,
-    )
+    return LayerSpec(name=name, kind="conv", kernel=k, stride=stride, pad=k // 2 if pad is None else pad,
+                     base_out=base_out, binarized=binarized, gene_index=gene)
 
 
 def _fc(name, base_out, binarized=True, gene=None) -> LayerSpec:
@@ -266,11 +262,11 @@ def _act(name) -> LayerSpec:
 
 
 def _pool(name, k, stride, pad=0) -> LayerSpec:
-    return LayerSpec(name=name, kind="pool", kernel=(k, k), stride=stride, pad=pad, pool_op="max")
+    return LayerSpec(name=name, kind="pool", kernel=k, stride=stride, pad=pad)
 
 
 def _gap(name) -> LayerSpec:
-    return LayerSpec(name=name, kind="pool", pool_op="global_avg")
+    return LayerSpec(name=name, kind="gap")
 
 
 def vgg_small() -> NetworkTemplate:
@@ -285,7 +281,7 @@ def vgg_small() -> NetworkTemplate:
         _fc("fc1", 1024, gene=6), _bn("bn7"), _act("act7"),
         _fc("fc2", 10, binarized=False),
     ]
-    return NetworkTemplate(name="vgg_small", layers=tuple(layers), input_shape=(3, 32, 32), class_count=10, n_genes=7)
+    return NetworkTemplate(name="vgg_small", layers=tuple(layers), input_shape=(3, 32, 32))
 
 
 def _residual_family(
@@ -324,9 +320,7 @@ def _residual_family(
             layers.append(_act(f"{prefix}_act2"))
     layers.append(_gap("gap"))
     layers.append(_fc("fc", class_count, binarized=False))
-    return NetworkTemplate(
-        name=name, layers=tuple(layers), input_shape=input_shape, class_count=class_count, n_genes=gene,
-    )
+    return NetworkTemplate(name=name, layers=tuple(layers), input_shape=input_shape)
 
 
 def resnet18() -> NetworkTemplate:
@@ -359,9 +353,7 @@ def vgg_small_mini() -> NetworkTemplate:
         _fc("fc1", 64, gene=3), _bn("bn4"), _act("act4"),
         _fc("fc2", 10, binarized=False),
     ]
-    return NetworkTemplate(
-        name="vgg_small_mini", layers=tuple(layers), input_shape=(1, 28, 28), class_count=10, n_genes=4
-    )
+    return NetworkTemplate(name="vgg_small_mini", layers=tuple(layers), input_shape=(1, 28, 28))
 
 
 TEMPLATES = {

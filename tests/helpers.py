@@ -215,11 +215,11 @@ def layer_geometry_reference(template, code) -> list:
     code = space.validate_code(code, template.n_genes)
     geoms = []
 
-    def walk(items, c, h, w, tie=None, proj_of=None):
+    def walk(items, c, h, w, tie=None):
         for i, spec in enumerate(items):
             if isinstance(spec, templates.BlockSpec):
                 main = walk(spec.main, c, h, w, tie=None if spec.shortcut else c)
-                shortcut = walk(spec.shortcut, c, h, w, tie=main[0], proj_of=spec.name)
+                shortcut = walk(spec.shortcut, c, h, w, tie=main[0])
                 if shortcut[0] != main[0]:
                     if not spec.shortcut:
                         raise InputError(f"identity shortcut of block '{spec.name}' sees {shortcut[0]} vs {main[0]} channels")
@@ -235,28 +235,28 @@ def layer_geometry_reference(template, code) -> list:
                     raise InputError(f"conv '{spec.name}' has no gene and no identity block to tie to")
                 else:
                     c = tie
-                h = _conv_out_reference(h, spec.kernel[0], spec.stride, spec.pad)
-                w = _conv_out_reference(w, spec.kernel[1], spec.stride, spec.pad)
-                geoms.append(space.LayerGeom(spec, cin, c, h, w, {"weight": (c, cin, *spec.kernel)}, proj_of=proj_of))
+                h = _conv_out_reference(h, spec.kernel, spec.stride, spec.pad)
+                w = _conv_out_reference(w, spec.kernel, spec.stride, spec.pad)
+                geoms.append(space.LayerGeom(spec, cin, c, h, w, {"weight": (c, cin, spec.kernel, spec.kernel)}))
             elif spec.kind == "fc":
                 c = _scaled_reference(code[spec.gene_index], spec.base_out) if spec.gene_index is not None else spec.base_out
                 n_in = cin * h * w
                 shapes = {"weight": (n_in, c)}
                 if i + 1 == len(items) or not (isinstance(items[i + 1], templates.LayerSpec) and items[i + 1].kind == "bn"):
                     shapes["bias"] = (c,)
-                geoms.append(space.LayerGeom(spec, cin, c, 1, 1, shapes, in_features=n_in, proj_of=proj_of))
+                geoms.append(space.LayerGeom(spec, cin, c, 1, 1, shapes))
                 h = w = 1
             elif spec.kind == "pool":
-                if spec.pool_op == "global_avg":
-                    h = w = 1
-                else:
-                    h = _conv_out_reference(h, spec.kernel[0], spec.stride, spec.pad)
-                    w = _conv_out_reference(w, spec.kernel[1], spec.stride, spec.pad)
-                geoms.append(space.LayerGeom(spec, c, c, h, w, {}, proj_of=proj_of))
+                h = _conv_out_reference(h, spec.kernel, spec.stride, spec.pad)
+                w = _conv_out_reference(w, spec.kernel, spec.stride, spec.pad)
+                geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
+            elif spec.kind == "gap":
+                h = w = 1
+                geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
             elif spec.kind == "bn":
-                geoms.append(space.LayerGeom(spec, c, c, h, w, _norm_shapes_reference(c), proj_of=proj_of))
+                geoms.append(space.LayerGeom(spec, c, c, h, w, _norm_shapes_reference(c)))
             else:  # act
-                geoms.append(space.LayerGeom(spec, c, c, h, w, {}, proj_of=proj_of))
+                geoms.append(space.LayerGeom(spec, c, c, h, w, {}))
         return c, h, w
 
     walk(template.layers, *template.input_shape)

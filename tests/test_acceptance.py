@@ -144,7 +144,7 @@ def _eight_gene_template():
     for i in range(2, 9):
         layers.append(templates._conv(f"conv{i}", 16, 3, gene=i - 1))
     layers.append(templates._fc("fc", 10, binarized=False))
-    return templates.NetworkTemplate("wide8", tuple(layers), (3, 16, 16), 10, 8)
+    return templates.NetworkTemplate("wide8", tuple(layers), (3, 16, 16))
 
 
 def test_synthetic_evolution_finds_optimum_9_of_10_seeds_under_10s():

@@ -270,7 +270,7 @@ class TestInheritance:
         # breaks the tie to the block input, an error of the child's walk.
         t = templates.resnet_mini()
         layers = replace_layer(t.layers, "s1b1_conv2", base_out=16, gene_index=t.n_genes)
-        t = dataclasses.replace(t, layers=layers, n_genes=t.n_genes + 1)
+        t = dataclasses.replace(t, layers=layers)
         code = (0.5,) + (1.0,) * (t.n_genes - 1)
         with pytest.raises(InputError, match="identity shortcut"):
             space.layer_geometry(t, code)

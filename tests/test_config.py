@@ -131,6 +131,9 @@ class TestParsing:
     ("full_train.schedule.decay_epochs", "12"),
     ("proxy_train.schedule.decay_epochs", [1.5]),
     ("search.lambda", True),
+    ("search.lambda", float("nan")),
+    ("search.lambda", float("inf")),
+    pytest.param("search.lambda", 10**400, id="search.lambda-int_beyond_float"),
     ("search.mutation_rate", "0.1"),
     ("proxy_train.epochs", True),
     ("proxy_train.momentum", None),

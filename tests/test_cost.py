@@ -131,7 +131,7 @@ class TestWeightBits:
         bits = 0
         for name in ("conv1", "conv2", "conv3", "fc1", "fc2"):
             g = geoms[name]
-            n = g.in_ch * g.out_ch * 9 if g.spec.kind == "conv" else g.in_features * g.out_ch
+            n = g.in_ch * g.out_ch * 9 if g.spec.kind == "conv" else g.shapes["weight"][0] * g.out_ch
             bits += n * (1 if g.spec.binarized else 32)
             if g.spec.binarized:
                 bits += 32  # one scale scalar per binary tensor
@@ -199,7 +199,7 @@ class TestReferenceWalk:
         # baseline breaks it when the two base widths differ.
         t = templates.resnet_mini()
         layers = replace_layer(t.layers, "s1b1_conv2", base_out=base, gene_index=t.n_genes)
-        t = dataclasses.replace(t, layers=layers, n_genes=t.n_genes + 1)
+        t = dataclasses.replace(t, layers=layers)
         code = (stem,) + (1.0,) * (t.n_genes - 1)
 
         def outcome(call):
@@ -219,7 +219,7 @@ class TestReferenceWalk:
         # A structural error is the template's, raised once when it is built.
         t = templates.vgg_small_mini()
         layers = list(t.layers)
-        layers[0] = dataclasses.replace(layers[0], kernel=(31, 31), pad=0)  # wider than the 28x28 input
+        layers[0] = dataclasses.replace(layers[0], kernel=31, pad=0)  # wider than the 28x28 input
         with pytest.raises(InputError) as got:
             dataclasses.replace(t, layers=tuple(layers))
         assert str(got.value) == "kernel 31 exceeds padded extent 28"

@@ -144,8 +144,9 @@ class TestRunSearch:
         '{"not": "a record"}', "5", "null",
         {"acc": "high"}, {"generation": "0"}, {"index": 2.0}, {"eval_seed": True}, {"flops": False},
         {"fitness": None}, {"diverged": 0}, {"random_parents": "false"}, {"code": 1},
+        {"acc": float("nan"), "fitness": float("nan")},
     ], ids=["wrong_keys", "number", "null", "acc_string", "generation_string", "index_float", "eval_seed_bool",
-            "flops_bool", "fitness_null", "diverged_number", "random_parents_string", "code_number"])
+            "flops_bool", "fitness_null", "diverged_number", "random_parents_string", "code_number", "acc_nan"])
     def test_corrupt_log_line_names_file_and_line(self, tmp_path, corrupt):
         cfg = run_config(tmp_path)
         runner.run_search(cfg)

@@ -65,7 +65,7 @@ class TestTemplates:
             templates._fc("fc1", 10, binarized=False),
         ]
         with pytest.raises(InputError):
-            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
+            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8))
 
     def test_rejects_duplicate_gene_indices(self):
         bad = [
@@ -74,7 +74,7 @@ class TestTemplates:
             templates._fc("fc1", 10, binarized=False),
         ]
         with pytest.raises(InputError):
-            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
+            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8))
 
     def test_rejects_base_width_not_divisible_by_four(self):
         bad = [
@@ -82,7 +82,7 @@ class TestTemplates:
             templates._fc("fc1", 10, binarized=False),
         ]
         with pytest.raises(InputError):
-            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
+            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8))
 
     def test_rejects_gened_base_width_of_zero(self):
         bad = [
@@ -90,7 +90,46 @@ class TestTemplates:
             templates._fc("fc1", 10, binarized=False),
         ]
         with pytest.raises(InputError, match="gened layer 'conv1' base width 0 is not positive"):
-            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8), 10, 1)
+            templates.NetworkTemplate("bad", tuple(bad), (3, 8, 8))
+
+    @pytest.mark.parametrize("layer, head, message", [
+        (templates.LayerSpec("pool", "pool", (2, 4), 2), 3, "pool 'pool' has kernel (2, 4); it must be an integer >= 1"),
+        (templates._pool("pool", 2, 0), 3, "pool 'pool' has stride 0; it must be an integer >= 1"),
+        (templates._pool("pool", 0, 1), 3, "pool 'pool' has kernel 0; it must be an integer >= 1"),
+        (templates._pool("pool", 2, 2, pad=-1), 3, "pool 'pool' has pad -1; it must be an integer >= 0"),
+        (templates._pool("pool", 2, 2, pad=2), 3, "pool 'pool' pads 2 around a 2-wide window, "
+                                                   "so a window can hold only padding"),
+        (templates._act("act"), templates._fc("fc", 12, binarized=False, gene=1),
+         "final fc 'fc' carries gene 1, but its width is the class count"),
+        (templates._act("act"), 0, "fc 'fc' has base_out 0; it must be an integer >= 1"),
+        (templates._conv("conv1", 8, 3, gene=1), 3, "template 'probe' names two layers 'conv1'"),
+    ], ids=["two_extent_pool_kernel", "pool_stride_0", "pool_kernel_0", "negative_pool_pad", "pool_pad_of_a_window",
+            "gened_classifier", "classifier_width_0", "duplicate_layer_name"])
+    def test_rejects_a_layer_the_ops_cannot_run_as_planned(self, layer, head, message):
+        # Unchecked, the two-extent kernel is planned 4x3 but run 4x4, stride 0
+        # divides by zero, kernel 0 fails in forward, a pad as wide as the window
+        # emits -inf, and a gened classifier scales the class count with the code.
+        if isinstance(head, int):
+            head = templates._fc("fc", head, binarized=False)
+        layers = (templates._conv("conv1", 8, 3, binarized=False, gene=0), layer, head)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            templates.NetworkTemplate("probe", layers, (1, 8, 8))
+
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (1, 8), (1, 8.0, 8)])
+    def test_rejects_an_input_shape_of_other_than_three_positive_ints(self, shape):
+        layers = (templates._conv("conv1", 8, 3, binarized=False, gene=0), templates._fc("fc", 3, binarized=False))
+        with pytest.raises(InputError, match=f"^template 'probe' input shape {re.escape(str(shape))} is not"):
+            templates.NetworkTemplate("probe", layers, shape)
+
+    def test_class_count_is_the_final_fc_width(self):
+        # The class count is derived, so it cannot disagree with the
+        # classifier: a 3-wide final fc means 3 classes and 3 logits.
+        layers = (templates._conv("conv1", 8, 3, binarized=False, gene=0), templates._gap("gap"),
+                  templates._fc("fc", 3, binarized=False))
+        t = templates.NetworkTemplate("probe", layers, (1, 8, 8))
+        assert (t.n_genes, t.class_count) == (1, 3)
+        network = net.instantiate(t, (1.0,), seed=0)
+        assert network.forward(np.zeros((2, 1, 8, 8), dtype=np.float32)).shape == (2, 3)
 
     @pytest.mark.parametrize("layer, message", [
         ("s2b1_proj_conv", "block 's2b1' adds a 32x32 shortcut to a 16x16 main path"),
@@ -111,7 +150,7 @@ class TestTemplates:
             templates._conv("stem", 8, 3, binarized=False, gene=0),
             templates.BlockSpec("b", (templates._conv("c1", 8, 3, gene=1),), (templates._bn("sbn"),)),
             templates._fc("fc", 3, binarized=False),
-        ), (1, 6, 6), 3, 2)
+        ), (1, 6, 6))
         net.instantiate(t, (2.0, 2.0), seed=0)
         message = "shortcut of block 'b' ends at 'sbn' with 8 channels, its main path with 16"
         for call in (space.layer_geometry, cost.count_cost, layer_geometry_reference,
@@ -247,13 +286,13 @@ class TestGeometry:
         assert (geoms["s2b1_conv1"].h_out, geoms["s2b1_conv1"].w_out) == (28, 28)
         assert (geoms["s4b2_conv2"].h_out, geoms["s4b2_conv2"].w_out) == (7, 7)
         assert (geoms["gap"].h_out, geoms["gap"].w_out) == (1, 1)
-        assert geoms["fc"].in_features == 512
+        assert geoms["fc"].shapes["weight"][0] == 512
 
     def test_vgg_small_classifier_features(self):
         t = templates.vgg_small()
         geoms = {g.spec.name: g for g in space.layer_geometry(t, space.uniform_code(1, 7))}
-        assert geoms["fc1"].in_features == 512 * 4 * 4
-        assert geoms["fc2"].in_features == 1024
+        assert geoms["fc1"].shapes["weight"][0] == 512 * 4 * 4
+        assert geoms["fc2"].shapes["weight"][0] == 1024
 
     def test_projection_geometry_matches_block_output(self):
         t = templates.resnet_mini()
@@ -268,7 +307,9 @@ class TestGeometry:
 @st.composite
 def drawn_templates(draw):
     """A small template: a stem conv, a few conv/bn/act/pool layers and
-    residual blocks, then an fc head; most build, some are malformed."""
+    residual blocks, then an fc head; most build, some are malformed
+    (among them a kernel or stride of 0, a negative pad, a gened
+    classifier)."""
     names = itertools.count()
     genes = itertools.count()
 
@@ -276,7 +317,7 @@ def drawn_templates(draw):
         k = draw(st.sampled_from((1, 2, 3)))
         pad = k // 2 if draw(st.booleans()) else draw(st.integers(0, k // 2 + 1))
         return templates.LayerSpec(
-            f"conv{next(names)}", "conv", (k, k), draw(st.sampled_from((1, 1, 2))), pad,
+            f"conv{next(names)}", "conv", k, draw(st.sampled_from((1, 1, 2))), pad,
             draw(st.sampled_from((4, 8))) if gened else 0, binarized, next(genes) if gened else None)
 
     def simple(force_gene):
@@ -284,11 +325,9 @@ def drawn_templates(draw):
         if kind == "conv":
             return conv(gened=force_gene or draw(st.booleans()))
         if kind == "pool":
-            k = draw(st.integers(1, 3))
-            return templates.LayerSpec(f"pool{next(names)}", "pool", (k, k), draw(st.integers(1, 2)),
-                                       draw(st.integers(0, k // 2)))
-        if kind == "gap":
-            return templates.LayerSpec(f"gap{next(names)}", "pool", pool_op="global_avg")
+            k = draw(st.integers(0, 3))
+            return templates.LayerSpec(f"pool{next(names)}", "pool", k, draw(st.integers(0, 2)),
+                                       draw(st.integers(-1, k // 2)))
         return templates.LayerSpec(f"{kind}{next(names)}", kind)
 
     layers = [conv(binarized=False)]
@@ -304,11 +343,13 @@ def drawn_templates(draw):
         layers += [templates.LayerSpec("fc_hidden", "fc", base_out=8, binarized=True, gene_index=next(genes))]
         layers += [templates.LayerSpec(n, k) for n, k in (("bn_head", "bn"), ("act_head", "act"))
                    if draw(st.booleans())]
-    layers.append(templates.LayerSpec("fc", "fc", base_out=3))
+    if draw(st.integers(0, 7)):
+        layers.append(templates.LayerSpec("fc", "fc", base_out=3))
+    else:
+        layers.append(templates.LayerSpec("fc", "fc", base_out=4, gene_index=next(genes)))
     shape = (draw(st.integers(1, 3)), draw(st.integers(3, 10)), draw(st.integers(3, 10)))
-    n_genes = next(genes)
-    code = draw(st.tuples(*[st.sampled_from(space.RATIOS)] * n_genes))
-    return layers, shape, n_genes, code
+    code = draw(st.tuples(*[st.sampled_from(space.RATIOS)] * next(genes)))
+    return layers, shape, code
 
 
 def _recording(fn, shapes):
@@ -325,9 +366,9 @@ class TestDrawnTemplates:
     @given(drawn=drawn_templates())
     @settings(max_examples=200, deadline=None)
     def test_builds_and_runs_as_planned_or_is_rejected(self, drawn):
-        layers, shape, n_genes, code = drawn
+        layers, shape, code = drawn
         try:
-            t = templates.NetworkTemplate("drawn", layers, shape, 3, n_genes)
+            t = templates.NetworkTemplate("drawn", layers, shape)
         except InputError as e:
             # One statistic per message: names and numbers blanked.
             event("rejected when built: " + re.sub(r"'[^']*'|[0-9]+", "_", str(e)))
@@ -343,6 +384,7 @@ class TestDrawnTemplates:
                 layer_geometry_reference(t, code)
             return
         event("ran")
+        assert (t.n_genes, t.class_count) == (len(code), 3)
         geoms = space.layer_geometry(t, code)
         assert geoms == layer_geometry_reference(t, code)
         x = np.random.default_rng(0).standard_normal((2, *shape)).astype(np.float32)

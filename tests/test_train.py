@@ -1,10 +1,12 @@
 """Schedules, the SGD step, and the training loop."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
 from binwidth import net as net_mod
-from binwidth import space, synth, templates, train
+from binwidth import ops, space, synth, templates, train
 from binwidth.data import Dataset, parse_mnist_idx
 from binwidth.errors import DivergenceError, InputError, ShapeError
 
@@ -148,6 +150,30 @@ class TestTrainLoop:
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
                 train.train_network(net, tiny_dataset(n=64), cfg)
+
+    def test_a_training_run_builds_the_lane_executor_once(self, monkeypatch):
+        # resnet_mini's convs and a short last batch split into 1 to 4+
+        # chunks; the executor is sized by the lane cap, not the chunk count.
+        real = concurrent.futures.ThreadPoolExecutor
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "_lanes", 4)
+        monkeypatch.setattr(ops, "_helpers", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+        t = templates.resnet_mini()
+        network = net_mod.instantiate(t, space.uniform_code(1, t.n_genes), seed=0)
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.standard_normal((26, 3, 32, 32)).astype(np.float32), np.arange(26) % 10, class_count=10)
+        try:
+            train.train_network(network, data, train.TrainConfig(epochs=2, batch_size=20))
+        finally:
+            if ops._helpers is not None:
+                ops._helpers[1].shutdown()
+        assert builds == [(3,)]
 
 
 class TestAccuracy:
