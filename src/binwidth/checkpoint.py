@@ -10,12 +10,15 @@ Checkpoint files are little-endian throughout:
     metadata length      u32
     metadata             UTF-8 JSON {template, ratios, seed}
 
-Read errors carry the byte offset of the first bad field.
+Read errors carry the byte offset of the first bad field; the metadata,
+read by `space.read_json`, must hold exactly its three keys, or its fault
+is a `FormatError` at the metadata's offset.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError
-from .space import ExpansionCode, ratio_list, uniform_code, validate_code
+from .space import CodeFile, ExpansionCode, ratio_list, read_json, uniform_code, validate_code
 from .templates import NetworkTemplate
 
 MAGIC = b"BNASCKPT"
@@ -39,6 +42,11 @@ class Checkpoint:
     template: str
     code: ExpansionCode
     seed: int
+
+
+@dataclass(frozen=True)
+class _Metadata(CodeFile):
+    seed: int  # the metadata object: a code file's keys plus the network's seed
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -73,10 +81,8 @@ def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    meta = json.dumps(
-        {"template": ckpt.template, "ratios": ratio_list(ckpt.code), "seed": ckpt.seed},
-        sort_keys=True,
-    ).encode("utf-8")
+    meta = json.dumps({"template": ckpt.template, "ratios": ratio_list(ckpt.code), "seed": ckpt.seed},
+                      sort_keys=True).encode("utf-8")
     parts.append(struct.pack("<I", len(meta)))
     parts.append(meta)
     return b"".join(parts)
@@ -126,34 +132,15 @@ def deserialize_checkpoint(data: bytes) -> Checkpoint:
             raise FormatError(f"duplicate entry name '{name}'", offset=name_at)
         rank = r.u32(f"entry '{name}' rank")
         shape = tuple(r.u32(f"entry '{name}' dim {d}") for d in range(rank))
-        size = 1
-        for d in shape:
-            size *= d
-        payload = r.take(4 * size, f"entry '{name}' payload")
+        payload = r.take(4 * math.prod(shape), f"entry '{name}' payload")
         arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     meta_len = r.u32("metadata length")
     meta_at = r.offset
     raw = r.take(meta_len, "metadata")
     if r.offset != len(data):
         raise FormatError("trailing bytes after metadata", offset=r.offset)
-    try:
-        meta = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise FormatError("metadata is not valid JSON", offset=meta_at) from None
-    if (not isinstance(meta, dict) or not {"template", "ratios", "seed"} <= set(meta)
-            or not isinstance(meta["template"], str) or not isinstance(meta["ratios"], list)
-            or type(meta["seed"]) is not int):
-        raise FormatError("metadata needs a string template, a list of ratios and an integer seed", offset=meta_at)
-    try:
-        code = validate_code(meta["ratios"])
-    except InputError as e:
-        raise FormatError(f"metadata ratios: {e}", offset=meta_at) from None
-    return Checkpoint(
-        arrays=arrays,
-        template=meta["template"],
-        code=code,
-        seed=meta["seed"],
-    )
+    meta = read_json(raw, _Metadata, lambda message: FormatError(f"metadata: {message}", offset=meta_at))
+    return Checkpoint(arrays=arrays, template=meta.template, code=meta.ratios, seed=meta.seed)
 
 
 def read_checkpoint(path: str) -> Checkpoint:

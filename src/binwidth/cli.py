@@ -18,7 +18,7 @@ from .cost import count_cost
 from .errors import BinwidthError, ConfigError, DivergenceError, FormatError, InputError, ShapeError
 from .net import instantiate
 from .report import write_run_report
-from .runner import run_search, run_train
+from .runner import check_fits, run_search, run_train
 from .space import read_code_file, uniform_code
 from .synth import write_gray_files, write_rgb_files
 from .templates import get_template
@@ -103,6 +103,7 @@ def _cmd_eval(args) -> int:
     net = instantiate(template, ckpt.code, seed=ckpt.seed)
     net.load_state_dict(ckpt.arrays)
     dataset = cfg.dataset.load_train() if args.split == "train" else cfg.dataset.load_test()
+    check_fits(template, dataset)
     acc = accuracy(net, dataset)
     print(f"{args.split} top-1: {acc:.2f}%")
     return 0

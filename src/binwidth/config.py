@@ -1,10 +1,13 @@
 """Run configuration: one JSON file describing an end-to-end run.
 
-Each section is a dataclass: its keys are the field names, its values
-must have the JSON type of the field's annotation, and absent keys take
-the field defaults. Every section rejects unknown keys so a typo in a
-hyper-parameter name fails loudly instead of silently training with a
-default, and a value of the wrong type fails naming its dotted key.
+Each section is a dataclass, read by `space.read_json`: its keys are the
+field names, its values must have the JSON type of the field's
+annotation, and absent keys take the field defaults. Every section
+rejects unknown keys so a typo in a hyper-parameter name fails loudly
+instead of silently training with a default, and a value of the wrong
+type fails naming its dotted key; so does a dataset path that the
+dataset's kind does not read. Every fault is a `ConfigError`, prefixed
+with the file's path when read from a file.
 
 `proxy_train` is the schedule each search candidate trains on; its
 `epochs` default to `search.proxy_epochs`, and its `seed` is replaced by
@@ -13,65 +16,18 @@ each candidate's derived seed.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
-import typing
 from dataclasses import dataclass
 
 from .data import Dataset, parse_cifar10_bin, parse_mnist_idx, stratified_split
 from .errors import ConfigError
-from .search import SearchConfig, json_value
+from .search import SearchConfig
+from .space import read_json
 from .templates import TEMPLATES
-from .train import LrSchedule, TrainConfig
+from .train import TrainConfig
 
-# Field name -> JSON key, where the field name had to dodge a keyword.
-_JSON_KEYS = {"lambda_": "lambda"}
-
-
-def _value(value, hint, where: str, default):
-    """`value` checked against the field type `hint`. A dataclass type
-    parses `value` as a section whose absent keys come from `default`."""
-    options = typing.get_args(hint)
-    if type(None) in options:
-        if value is None:
-            return None
-        (hint,) = (t for t in options if t is not type(None))
-    if dataclasses.is_dataclass(hint):
-        return _section(hint, value, where, default)
-    return json_value(value, hint, where, ConfigError)
-
-
-def _section(cls, section, where: str, base=dataclasses.MISSING, derived=None):
-    """Build dataclass `cls` from a JSON object.
-
-    An absent key takes, in order: `derived[field](values parsed so far)`,
-    the field of `base` (an instance of `cls`), the field default. A field
-    with none of these is required.
-    """
-    name = where or "run config"
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' must be an object, got {type(section).__name__}")
-    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - set(fields))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in '{name}'; allowed: {sorted(fields)}")
-    hints = _HINTS[cls]
-    values: dict = {}
-    for key, f in fields.items():
-        if derived and f.name in derived:
-            default = derived[f.name](values)
-        elif base is not dataclasses.MISSING:
-            default = getattr(base, f.name)
-        else:
-            default = f.default
-        if key in section:
-            values[f.name] = _value(section[key], hints[f.name], f"{where}.{key}" if where else key, default)
-        elif default is dataclasses.MISSING:
-            raise ConfigError(f"{name} needs '{key}'")
-        else:
-            values[f.name] = default
-    return cls(**values)
+# Dataset kind -> the path fields of its train set and of its test set.
+_PATHS = {"idx": (("train_images", "train_labels"), ("test_images", "test_labels")), "records": (("train",), ("test",))}
 
 
 @dataclass(frozen=True)
@@ -90,13 +46,17 @@ class DatasetConfig:
     subset_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("idx", "records"):
+        if self.kind not in _PATHS:
             raise ConfigError(f"dataset.kind must be 'idx' or 'records', got {self.kind!r}")
+        for kind, sets in _PATHS.items():
+            for name in sum(sets, ()):
+                if kind != self.kind and getattr(self, name) is not None:
+                    raise ConfigError(f"'dataset.{name}' is a path for dataset kind '{kind}', not '{self.kind}'")
 
-    def _read(self, *names: str) -> list[bytes]:
-        """Contents of the files named by these path fields."""
+    def _load(self, split: str) -> Dataset:
+        """The train or test set, parsed from the files its path fields name."""
         contents = []
-        for name in names:
+        for name in _PATHS[self.kind][split == "test"]:
             path = getattr(self, name)
             if path is None:
                 raise ConfigError(f"dataset kind '{self.kind}' needs '{name}'")
@@ -104,20 +64,16 @@ class DatasetConfig:
                 raise ConfigError(f"dataset file '{path}' ({name}) does not exist")
             with open(path, "rb") as f:
                 contents.append(f.read())
-        return contents
+        return (parse_mnist_idx if self.kind == "idx" else parse_cifar10_bin)(*contents, split=split)
 
     def load_train(self) -> Dataset:
-        if self.kind == "idx":
-            return parse_mnist_idx(*self._read("train_images", "train_labels"), split="train")
-        return parse_cifar10_bin(*self._read("train"), split="train")
+        return self._load("train")
 
     def has_test(self) -> bool:
-        return (self.test_images is not None) if self.kind == "idx" else (self.test is not None)
+        return getattr(self, _PATHS[self.kind][1][0]) is not None
 
     def load_test(self) -> Dataset:
-        if self.kind == "idx":
-            return parse_mnist_idx(*self._read("test_images", "test_labels"), split="test")
-        return parse_cifar10_bin(*self._read("test"), split="test")
+        return self._load("test")
 
     def proxy_splits(self) -> tuple[Dataset, Dataset]:
         """Disjoint stratified train/val pools for candidate scoring."""
@@ -143,26 +99,18 @@ class RunConfig:
             raise ConfigError("run config needs an 'output_dir'")
 
 
-# Resolved field types of each section. get_type_hints evaluates the string
-# annotations afresh on every call, at about 0.1 ms a class.
-_HINTS = {cls: typing.get_type_hints(cls) for cls in (RunConfig, DatasetConfig, SearchConfig, TrainConfig, LrSchedule)}
-
-
-def parse_run_config(payload: dict) -> RunConfig:
-    # Proxy training runs the search's proxy_epochs unless told otherwise.
-    return _section(RunConfig, payload, "", derived={
-        "proxy_train": lambda got: TrainConfig(epochs=got["search"].proxy_epochs),
-    })
+def parse_run_config(payload: dict | str | bytes) -> RunConfig:
+    """The run config in `payload`, a JSON object or its text. Proxy
+    training runs the search's proxy_epochs unless told otherwise."""
+    derived = {"proxy_train": lambda got: TrainConfig(epochs=got["search"].proxy_epochs)}
+    return read_json(payload, RunConfig, ConfigError, base=derived)
 
 
 def load_run_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
+        with open(path, "rb") as f:
+            return parse_run_config(f.read())
     except FileNotFoundError:
         raise ConfigError(f"config file '{path}' does not exist") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"config file '{path}' is not valid JSON: {e}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config file '{path}' must hold a JSON object")
-    return parse_run_config(payload)
+    except ConfigError as e:
+        raise ConfigError(f"config file '{path}': {e}") from None

@@ -33,7 +33,7 @@ from .net import instantiate
 from .search import SearchLogRecord, evolve, make_proxy_evaluator
 from .seeding import derive_seed
 from .space import code_file_text, ratio_list, uniform_code
-from .templates import get_template
+from .templates import NetworkTemplate, get_template
 from .train import TrainConfig, accuracy, train_network
 
 LOG_NAME = "search_log.jsonl"
@@ -46,12 +46,11 @@ def read_search_log(path: str) -> list[SearchLogRecord]:
     records = []
     with open(path, "rb") as f:  # decoded per line, so a bad byte is reported at its line
         for lineno, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    records.append(SearchLogRecord.from_json(line))
-            except (UnicodeDecodeError, FormatError, InputError) as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
+            if not raw.isspace():
+                try:
+                    records.append(SearchLogRecord.from_json(raw))
+                except FormatError as e:
+                    raise FormatError(f"{path}:{lineno}: {e}") from None
     return records
 
 
@@ -64,6 +63,14 @@ def _drop_torn_tail(path: str) -> bool:
             return False
         f.truncate(text.rfind(b"\n") + 1)
     return True
+
+
+def check_fits(template: NetworkTemplate, *datasets: Dataset | None) -> None:
+    """Refuse data whose images are not the template's (C, H, W) before any work on it."""
+    for data in datasets:
+        if data is not None and data.images.shape[1:] != template.input_shape:
+            raise InputError(f"template '{template.name}' takes {template.input_shape} images (C, H, W), "
+                             f"but the data holds {data.images.shape[1:]}")
 
 
 def _search_workers() -> int:
@@ -90,6 +97,7 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
     os.makedirs(cfg.output_dir, exist_ok=True)
     template = get_template(cfg.template)
     proxy_train, proxy_val = cfg.dataset.proxy_splits()
+    check_fits(template, proxy_train)
     echo(f"proxy data: {len(proxy_train)} train / {len(proxy_val)} val images")
 
     supernet = None
@@ -156,6 +164,7 @@ def run_train(
 ) -> dict:
     """Train (template, code) from scratch or from an inherited supernet."""
     template = get_template(template_name)
+    check_fits(template, train_set, test_set)
     net = instantiate(template, code, seed=train_cfg.seed)
     if supernet is not None:
         net.load_state_dict(inherit_weights(supernet, template, net.code).arrays)

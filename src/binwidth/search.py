@@ -15,6 +15,9 @@ evaluate a generation's children one after another in-process or at
 once in worker processes, finishing in any order. Records are built and
 logged in index order either way, so the log is the same apart from
 `wall_time`, and a killed run can be resumed by replaying its log.
+
+A log line is a `SearchLogRecord` read by `space.read_json`: every field
+is required, and any fault (a foreign ratio too) is a `FormatError`.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ import json
 import multiprocessing
 import os
 import signal
-import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, get_type_hints
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .data import Dataset
 from .errors import BinwidthError, DivergenceError, FormatError, InputError
 from .net import instantiate
 from .seeding import derive_seed, rng_from
-from .space import RATIOS, ExpansionCode, random_code, ratio_list, uniform_code, validate_code
+from .space import RATIOS, ExpansionCode, json_fields, random_code, ratio_list, read_json, uniform_code, validate_code
 from .templates import NetworkTemplate
 from .train import TrainConfig, accuracy, train_network
 
@@ -78,27 +80,6 @@ class SearchConfig:
             raise InputError(f"elitism_count must lie in [0, K), got {self.elitism_count}")
 
 
-# Field type -> (the JSON values it takes, their test, the conversion).
-# `type(v) is int` keeps bools, an int subclass, out of the numbers; NaN,
-# infinities and ints beyond the largest float fail the float's bound.
-JSON_TYPES = {
-    bool: ("true or false", lambda v: isinstance(v, bool), bool),
-    int: ("an integer", lambda v: type(v) is int, int),
-    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float),
-    str: ("a string", lambda v: isinstance(v, str), str),
-    tuple[int, ...]: ("a list of integers", lambda v: isinstance(v, list) and all(type(x) is int for x in v), tuple),
-    ExpansionCode: ("a list of ratios", lambda v: isinstance(v, list), validate_code),
-}
-
-
-def json_value(value, hint, where: str, error: type[Exception]):
-    """`value` as the field type `hint`, else `error` naming `where`."""
-    expected, check, convert = JSON_TYPES[hint]
-    if not check(value):
-        raise error(f"'{where}' must be {expected}, got {json.dumps(value)}")
-    return convert(value)
-
-
 @dataclass
 class Individual:
     """An evaluator's result for one code; `evolve` keeps it as a SearchLogRecord."""
@@ -122,31 +103,18 @@ class SearchLogRecord:
     fitness: float
     eval_seed: int
     wall_time: float
-    diverged: bool = False
-    random_parents: bool = False
+    diverged: bool
+    random_parents: bool
 
     def to_json(self) -> str:
-        payload = {key: getattr(self, key) for key in _RECORD_HINTS}
+        payload = {key: getattr(self, field[0]) for key, field in json_fields(SearchLogRecord).items()}
         payload["code"] = ratio_list(self.code)
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "SearchLogRecord":
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"bad search log line: {e}") from None
-        if not isinstance(payload, dict):
-            raise FormatError(f"search log line holds {json.dumps(payload)}, expected an object")
-        if set(payload) != set(_RECORD_HINTS):
-            raise FormatError(f"search log line has keys {sorted(payload)}, expected {sorted(_RECORD_HINTS)}")
-        for key, hint in _RECORD_HINTS.items():
-            payload[key] = json_value(payload[key], hint, key, FormatError)
-        return cls(**payload)
-
-
-# Resolved once: get_type_hints evaluates the string annotations on every call.
-_RECORD_HINTS = get_type_hints(SearchLogRecord)
+    def from_json(cls, line: str | bytes) -> "SearchLogRecord":
+        """A log line's record; every key is required, as no field has a default."""
+        return read_json(line, cls)
 
 
 def fitness(acc_percent: float, flops_norm: float, lambda_: float) -> float:

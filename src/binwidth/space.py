@@ -1,4 +1,4 @@
-"""Expansion codes and their application to network templates.
+"""Expansion codes, their application to network templates, the JSON reader.
 
 An expansion code is one ratio per gene, drawn from the fixed candidate
 set. A template checks its own structure when it is built and keeps the
@@ -10,12 +10,22 @@ plan into per-layer channel counts, extents and parameter shapes;
 checkpoint slicing validate the code themselves and resolve the plan
 (`GeometryPlan.layers`); the cost model resolves only the plan's conv/fc
 entries.
+
+`read_json` reads every JSON object the program reads (run config, log
+lines, code files, checkpoint metadata) into a dataclass: an unknown key,
+a missing one, a value of the wrong JSON type or text that is not UTF-8
+JSON raises the caller's error, naming the key at fault.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import numbers
+import sys
+import typing
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -96,16 +106,86 @@ def write_code_file(path: str, template_name: str, code: Iterable[float]) -> Non
         f.write(code_file_text(template_name, code))
 
 
-def read_code_file(path: str) -> tuple[str, ExpansionCode]:
-    with open(path, "r", encoding="utf-8") as f:
+# Field type -> (what its JSON value must be, the test, the conversion).
+# `type(v) is int` keeps bools, an int subclass, out of the numbers; NaN,
+# infinities and ints beyond the largest float fail the float's bound.
+_JSON_TYPES = {
+    bool: ("true or false", lambda v: type(v) is bool, bool),
+    int: ("an integer", lambda v: type(v) is int, int),
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float),
+    str: ("a string", lambda v: type(v) is str, str),
+    tuple[int, ...]: ("a list of integers", lambda v: type(v) is list and all(type(x) is int for x in v), tuple),
+    ExpansionCode: ("a list of ratios", lambda v: type(v) is list, validate_code),
+}
+
+
+@functools.cache  # get_type_hints evaluates the string annotations anew on every call
+def json_fields(cls: type) -> dict[str, tuple]:
+    """JSON key (the field name, less the trailing `_` that dodges a keyword,
+    as in `lambda_`) -> (field name, `_JSON_TYPES` entry or nested
+    dataclass, null allowed, default) of dataclass `cls`."""
+    hints, table = typing.get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        hint, options = hints[f.name], typing.get_args(hints[f.name])
+        if type(None) in options:  # X | None
+            (hint,) = (t for t in options if t is not type(None))
+        kind = hint if dataclasses.is_dataclass(hint) else _JSON_TYPES[hint]
+        table[f.name.rstrip("_")] = (f.name, kind, type(None) in options, f.default)
+    return table
+
+
+def read_json(source, cls: type, error=FormatError, where: str = "", base: dict | None = None):
+    """Dataclass `cls` from a JSON object (UTF-8 bytes, text or a dict) whose
+    keys are its fields; any fault raises `error(message)` naming the key,
+    dotted below `where`. A value has its field's JSON type (a bool is no
+    number, a float is finite, null fills only an optional field, a nested
+    dataclass is an object). An absent key takes `base[field]` (called with
+    the values so far if callable), else the field default, else is
+    missing; a nested object's absent keys take the fields of that value."""
+    if not where and isinstance(source, (str, bytes, bytearray)):  # text; a nested object arrives decoded
         try:
-            payload = json.load(f)
+            source = json.loads(source if type(source) is str else source.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FormatError(f"code file {path} is not valid JSON: {e}") from e
-    if (not isinstance(payload, dict) or set(payload) != {"template", "ratios"}
-            or not isinstance(payload["template"], str) or not isinstance(payload["ratios"], list)):
-        raise FormatError(f"code file {path} must contain exactly a 'template' string and a 'ratios' list")
-    try:
-        return payload["template"], validate_code(payload["ratios"])
-    except InputError as e:
-        raise FormatError(f"code file {path}: {e}") from None
+            raise error(f"not valid JSON: {e}") from None
+    if type(source) is not dict:
+        raise error(f"{repr(where) if where else 'the top level'} must be a JSON object, got {json.dumps(source)}")
+    table = json_fields(cls)
+    if not source.keys() <= table.keys():
+        unknown = sorted(source.keys() - table.keys())
+        raise error(f"unknown key(s) {unknown}{f' in {where!r}' if where else ''}; allowed: {sorted(table)}")
+    values = {}
+    for key, (name, kind, optional, default) in table.items():
+        at = f"{where}.{key}" if where else key
+        if base is not None and name in base:
+            default = base[name](values) if callable(base[name]) else base[name]
+        value = source.get(key, dataclasses.MISSING)
+        if value is dataclasses.MISSING:
+            if default is dataclasses.MISSING:
+                raise error(f"missing key '{at}'")
+            values[name] = default
+        elif value is None and optional:
+            values[name] = None
+        elif type(kind) is not tuple:
+            values[name] = read_json(value, kind, error, at, None if default is dataclasses.MISSING else vars(default))
+        elif not kind[1](value):
+            raise error(f"'{at}' must be {kind[0]}, got {json.dumps(value)}")
+        else:
+            try:
+                values[name] = kind[2](value)
+            except InputError as e:
+                raise error(f"'{at}': {e}") from None
+    return cls(**values)
+
+
+@dataclass(frozen=True)
+class CodeFile:
+    """A code file's object: the template a code is for, and its ratios."""
+
+    template: str
+    ratios: ExpansionCode
+
+
+def read_code_file(path: str) -> tuple[str, ExpansionCode]:
+    with open(path, "rb") as f:
+        got = read_json(f.read(), CodeFile, lambda message: FormatError(f"code file {path}: {message}"))
+    return got.template, got.ratios

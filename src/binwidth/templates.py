@@ -20,17 +20,19 @@ output gene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import InputError
 
-KINDS = ("conv", "fc", "pool", "gap", "bn", "act")  # pool is a max pool, gap global average pooling
+# Layer kind -> the `LayerSpec` fields it reads; a pool is a max pool, gap global average pooling.
+_WINDOW, _WIDTH = ("kernel", "stride", "pad"), ("base_out", "binarized", "gene_index")
+KINDS = {"conv": _WINDOW + _WIDTH, "fc": _WIDTH, "pool": _WINDOW, "gap": (), "bn": (), "act": ()}
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer. A conv or pool reads `kernel` (a square window), `stride`
-    and `pad`; a conv or fc reads `base_out`, `binarized` and `gene_index`."""
+    """One layer; `kernel` is a square window. `KINDS` names the fields each
+    kind reads, and a field its kind does not read must keep its default."""
 
     name: str
     kind: str  # one of KINDS
@@ -79,9 +81,9 @@ def _whole(spec: LayerSpec, key: str, least: int) -> int:
 
 class GeometryPlan:
     """A template's one structural walk, run when the template is built:
-    it checks every field it reads, that each block's two branches meet at
-    one extent, the gene table and the precision rule, and keeps what no
-    code changes.
+    it checks every field it reads and that no other field is set, that
+    each block's two branches meet at one extent, the gene table and the
+    precision rule, and keeps what no code changes.
 
     `entries` holds every executed layer in walk order as (spec, in
     source, out source, h_out, w_out, fc input extent, fc bias flag);
@@ -147,10 +149,14 @@ class GeometryPlan:
                 continue
             if spec.kind not in KINDS:
                 raise InputError(f"unknown layer kind '{spec.kind}'")
+            unread = {f.name: getattr(spec, f.name) for f in fields(LayerSpec)[2:]  # past name and kind
+                      if f.name not in KINDS[spec.kind] and getattr(spec, f.name) != f.default}
+            if unread:
+                raise InputError(f"{spec.kind} '{spec.name}' sets {unread}, fields its kind does not read")
             if flat and spec.kind in ("conv", "pool", "gap"):
                 raise InputError(f"{spec.kind} '{spec.name}' needs a spatial input, but an earlier layer flattened it")
             cin = c
-            if spec.kind in ("conv", "fc") and spec.gene_index is not None:
+            if spec.gene_index is not None:  # a conv or fc: no other kind may set it
                 c = _whole(spec, "gene_index", 0)
                 if c in genes:
                     raise InputError(f"gene {c} assigned to both '{genes[c].name}' and '{spec.name}'")

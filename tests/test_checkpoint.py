@@ -153,9 +153,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("field", [
         {"ratios": 5}, {"ratios": [7, 7, 7, 7]}, {"ratios": {}}, {"seed": "x"}, {"seed": True}, {"seed": 1.5},
-        {"template": 3},
+        {"template": 3}, {"extra": 1},
     ], ids=["ratios_number", "ratios_foreign", "ratios_object", "seed_string", "seed_bool", "seed_float",
-            "template_number"])
+            "template_number", "unknown_key"])
     def test_metadata_of_wrong_type_is_format_error_at_its_offset(self, field):
         blob = ck.serialize_checkpoint(ck.Checkpoint(arrays={}, template="t", code=(1.0,), seed=0))
         meta = json.dumps({"template": "t", "ratios": [1], "seed": 0}, sort_keys=True).encode()

@@ -122,13 +122,13 @@ class TestFlops:
         code_path = tmp_path / "code.json"
         code_path.write_text('{"template": "vgg_small_mini", "ratios": [1, 1.5, 1, 1]}')
         assert cli.main(["flops", "--template", "vgg_small_mini", "--code", str(code_path)]) == 3
-        assert f"format error: code file {code_path}: ratio 1.5 at gene 1" in capsys.readouterr().err
+        assert f"format error: code file {code_path}: 'ratios': ratio 1.5 at gene 1" in capsys.readouterr().err
 
     def test_code_file_not_utf8_is_format_error_naming_it(self, tmp_path, capsys):
         code_path = tmp_path / "code.json"
         code_path.write_bytes(b'{"template": "vgg_small_mini\xff", "ratios": [1, 1, 1, 1]}')
         assert cli.main(["flops", "--template", "vgg_small_mini", "--code", str(code_path)]) == 3
-        assert f"format error: code file {code_path} is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+        assert f"format error: code file {code_path}: not valid JSON: 'utf-8' codec" in capsys.readouterr().err
 
 
 class TestSearch:
@@ -158,7 +158,7 @@ class TestSearch:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_bytes(b'{"template": "vgg_small_mini\xff"}')
         assert cli.main(["search", "--config", str(cfg_path)]) == 2
-        assert f"config error: config file '{cfg_path}' is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+        assert f"config error: config file '{cfg_path}': not valid JSON: 'utf-8' codec" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -241,6 +241,33 @@ class TestEvalVerb:
         assert "format error" in capsys.readouterr().err
 
 
+class TestTemplateMustFitData:
+    """resnet_mini takes 3x32x32 images; the config's IDX data is 1x28x28."""
+
+    MESSAGE = ("input error: template 'resnet_mini' takes (3, 32, 32) images (C, H, W), "
+               "but the data holds (1, 28, 28)")
+
+    def test_search_refuses_before_any_evaluation(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, template="resnet_mini", supernet_init=True)
+        assert cli.main(["search", "--config", cfg_path]) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+        assert os.listdir(tmp_path / "run") == []  # no supernet, no log
+
+    def test_train_refuses(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, template="resnet_mini")
+        assert cli.main(["train", "--config", cfg_path, "--uniform", "1", "--epochs", "1"]) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+
+    def test_eval_refuses(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        code = space.uniform_code(1, 6)
+        ckpt_path = str(tmp_path / "resnet.ckpt")
+        network = instantiate(templates.resnet_mini(), code, seed=0)
+        write_checkpoint(ckpt_path, Checkpoint(network.state_dict(), "resnet_mini", code, 0))
+        assert cli.main(["eval", "--config", cfg_path, "--ckpt", ckpt_path]) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+
+
 class TestInherit:
     def test_slices_match_library_call(self, tmp_path, capsys):
         sup_path = supernet_ckpt(tmp_path)
@@ -288,11 +315,11 @@ class TestReportVerb:
     def test_log_line_not_utf8_is_format_error_at_its_line(self, tmp_path, capsys):
         space.write_code_file(str(tmp_path / "best_code.json"), "vgg_small_mini", (1.0,) * 4)
         record = SearchLogRecord(generation=0, index=0, code=(1.0,) * 4, acc=50.0, flops=1.0, flops_norm=1.0,
-                                 fitness=0.5, eval_seed=7, wall_time=0.0)
+                                 fitness=0.5, eval_seed=7, wall_time=0.0, diverged=False, random_parents=False)
         log_path = tmp_path / "search_log.jsonl"
         log_path.write_bytes(record.to_json().encode() + b"\n" + record.to_json().encode()[:-1] + b"\xff}\n")
         assert cli.main(["report", "--run", str(tmp_path)]) == 3
-        assert f"format error: {log_path}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert f"format error: {log_path}:2: not valid JSON: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_missing_run_dir_is_io_error(self, capsys):
         assert cli.main(["report", "--run", "/no/such/dir"]) == 1

@@ -157,6 +157,18 @@ def test_value_of_wrong_json_type_names_its_dotted_key(tmp_path, capsys, key, va
     assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, key", [("records", "train_images"), ("idx", "train")])
+def test_path_the_dataset_kind_does_not_read_names_its_key(tmp_path, capsys, kind, key):
+    payload = minimal_payload(write_data(tmp_path, kind=kind), kind=kind)
+    payload["dataset"][key] = "unused.bin"
+    with pytest.raises(ConfigError, match=f"^'dataset.{key}' is a path for dataset kind '.*', not '{kind}'$"):
+        cm.parse_run_config(payload)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["search", "--config", str(path)]) == 2
+    assert f"'dataset.{key}'" in capsys.readouterr().err
+
+
 class TestLoading:
     def test_load_from_file(self, tmp_path):
         payload = minimal_payload(write_data(tmp_path))

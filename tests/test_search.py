@@ -54,7 +54,7 @@ class StubRng:
 def population(*fitnesses):
     return [
         search.SearchLogRecord(generation=0, index=i, code=(1.0,), acc=f, flops=0.0, flops_norm=0.0,
-                               fitness=f, eval_seed=i, wall_time=0.0)
+                               fitness=f, eval_seed=i, wall_time=0.0, diverged=False, random_parents=False)
         for i, f in enumerate(fitnesses)
     ]
 
@@ -195,7 +195,7 @@ class TestLogRecords:
     def record(self, **kw):
         base = dict(
             generation=1, index=3, code=(1.0, 0.5), acc=42.5, flops=1e6,
-            flops_norm=1.25, fitness=37.5, eval_seed=123, wall_time=1000.5,
+            flops_norm=1.25, fitness=37.5, eval_seed=123, wall_time=1000.5, diverged=False, random_parents=False,
         )
         base.update(kw)
         return search.SearchLogRecord(**base)
@@ -218,10 +218,13 @@ class TestLogRecords:
             search.SearchLogRecord.from_json("{oops")
 
     def test_missing_key_rejected(self):
-        payload = json.loads(self.record().to_json())
-        payload.pop("acc")
-        with pytest.raises(FormatError):
-            search.SearchLogRecord.from_json(json.dumps(payload))
+        keys = list(json.loads(self.record().to_json()))
+        assert {"diverged", "random_parents"} < set(keys)
+        for key in keys:
+            payload = json.loads(self.record().to_json())
+            payload.pop(key)
+            with pytest.raises(FormatError, match=f"^missing key '{key}'$"):
+                search.SearchLogRecord.from_json(json.dumps(payload))
 
     def test_extra_key_rejected(self):
         payload = json.loads(self.record().to_json())
@@ -232,7 +235,7 @@ class TestLogRecords:
     def test_foreign_ratio_rejected(self):
         payload = json.loads(self.record().to_json())
         payload["code"] = [1.7, 0.5]
-        with pytest.raises(InputError):
+        with pytest.raises(FormatError, match="^'code': ratio 1.7 at gene 0 "):
             search.SearchLogRecord.from_json(json.dumps(payload))
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import re
+import struct
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -12,10 +14,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from binwidth import cost, net, ops, space, templates
-from binwidth.errors import FormatError, InputError
+from binwidth import checkpoint, config, cost, net, ops, runner, search, space, templates
+from binwidth.errors import ConfigError, FormatError, InputError
 
-from helpers import layer_geometry_reference, replace_layer, specs
+from helpers import count_cost_reference, layer_geometry_reference, replace_layer, specs
 
 ratio = st.sampled_from(space.RATIOS)
 
@@ -103,12 +105,20 @@ class TestTemplates:
          "final fc 'fc' carries gene 1, but its width is the class count"),
         (templates._act("act"), 0, "fc 'fc' has base_out 0; it must be an integer >= 1"),
         (templates._conv("conv1", 8, 3, gene=1), 3, "template 'probe' names two layers 'conv1'"),
+        (templates.LayerSpec("bn", "bn", kernel=5, gene_index=9), 3,
+         "bn 'bn' sets {'kernel': 5, 'gene_index': 9}, fields its kind does not read"),
+        (templates._act("act"), templates.LayerSpec("fc", "fc", kernel=7, stride=0, base_out=3),
+         "fc 'fc' sets {'kernel': 7, 'stride': 0}, fields its kind does not read"),
+        (templates.LayerSpec("act", "act", base_out=8, binarized=True), 3,
+         "act 'act' sets {'base_out': 8, 'binarized': True}, fields its kind does not read"),
     ], ids=["two_extent_pool_kernel", "pool_stride_0", "pool_kernel_0", "negative_pool_pad", "pool_pad_of_a_window",
-            "gened_classifier", "classifier_width_0", "duplicate_layer_name"])
+            "gened_classifier", "classifier_width_0", "duplicate_layer_name", "bn_with_gene_and_kernel",
+            "fc_with_kernel_and_stride", "act_with_width_and_precision"])
     def test_rejects_a_layer_the_ops_cannot_run_as_planned(self, layer, head, message):
         # Unchecked, the two-extent kernel is planned 4x3 but run 4x4, stride 0
         # divides by zero, kernel 0 fails in forward, a pad as wide as the window
-        # emits -inf, and a gened classifier scales the class count with the code.
+        # emits -inf, a gened classifier scales the class count with the code,
+        # and a field the layer's kind does not read states what no op runs.
         if isinstance(head, int):
             head = templates._fc("fc", head, binarized=False)
         layers = (templates._conv("conv1", 8, 3, binarized=False, gene=0), layer, head)
@@ -309,7 +319,8 @@ def drawn_templates(draw):
     """A small template: a stem conv, a few conv/bn/act/pool layers and
     residual blocks, then an fc head; most build, some are malformed
     (among them a kernel or stride of 0, a negative pad, a gened
-    classifier)."""
+    classifier, and, flagged as `stray`, a layer that sets a field its
+    kind does not read)."""
     names = itertools.count()
     genes = itertools.count()
 
@@ -343,13 +354,19 @@ def drawn_templates(draw):
         layers += [templates.LayerSpec("fc_hidden", "fc", base_out=8, binarized=True, gene_index=next(genes))]
         layers += [templates.LayerSpec(n, k) for n, k in (("bn_head", "bn"), ("act_head", "act"))
                    if draw(st.booleans())]
+    stray = not draw(st.integers(0, 7))
+    if stray:
+        kind, field, value = draw(st.sampled_from((
+            ("pool", "base_out", 4), ("bn", "gene_index", 0), ("act", "binarized", True), ("gap", "kernel", 2),
+            ("fc", "stride", 2))))
+        layers.append(templates.LayerSpec("stray", kind, **{field: value}))
     if draw(st.integers(0, 7)):
         layers.append(templates.LayerSpec("fc", "fc", base_out=3))
     else:
         layers.append(templates.LayerSpec("fc", "fc", base_out=4, gene_index=next(genes)))
     shape = (draw(st.integers(1, 3)), draw(st.integers(3, 10)), draw(st.integers(3, 10)))
     code = draw(st.tuples(*[st.sampled_from(space.RATIOS)] * next(genes)))
-    return layers, shape, code
+    return layers, shape, code, stray
 
 
 def _recording(fn, shapes):
@@ -366,13 +383,14 @@ class TestDrawnTemplates:
     @given(drawn=drawn_templates())
     @settings(max_examples=200, deadline=None)
     def test_builds_and_runs_as_planned_or_is_rejected(self, drawn):
-        layers, shape, code = drawn
+        layers, shape, code, stray = drawn
         try:
             t = templates.NetworkTemplate("drawn", layers, shape)
         except InputError as e:
             # One statistic per message: names and numbers blanked.
             event("rejected when built: " + re.sub(r"'[^']*'|[0-9]+", "_", str(e)))
             return
+        assert not stray, "a layer that sets a field its kind does not read was built"
         try:
             network = net.instantiate(t, code, seed=0)
         except InputError as e:  # a tie between a block's two branches, broken by this code
@@ -394,12 +412,20 @@ class TestDrawnTemplates:
             logits = network.forward(x, train=True)
         assert logits.shape == (2, 3)
         assert shapes == [(g.out_ch, g.h_out, g.w_out) for g in geoms if g.spec.kind in ("conv", "fc")]
-        priced = cost.count_cost(t, code).layers
+        network.backward(np.ones_like(logits))
+        assert {k: g.shape for k, g in network.grads.items()} == {k: p.shape for k, p in network.params.items()}
+        try:
+            priced = cost.count_cost(t, code).layers
+        except InputError as e:  # a tie this code holds but the uniform-1x baseline breaks
+            event("ran; the 1x baseline breaks a tie, so no cost")
+            with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
+                layer_geometry_reference(t, space.uniform_code(1, t.n_genes))
+            with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
+                count_cost_reference(t, code)
+            return
         assert len(priced) == len(shapes)
         for layer, (_, h, w) in zip(priced, shapes):
             assert layer.macs == network.params[layer.name + ".weight"].size * h * w, layer.name
-        network.backward(np.ones_like(logits))
-        assert {k: g.shape for k, g in network.grads.items()} == {k: p.shape for k, p in network.params.items()}
 
 
 class TestCodeFiles:
@@ -438,11 +464,69 @@ class TestCodeFiles:
     def test_rejects_non_string_template(self, tmp_path, template):
         path = tmp_path / "code.json"
         path.write_text(f'{{"template": {template}, "ratios": [1, 1, 1, 1]}}')
-        with pytest.raises(FormatError, match="'template' string"):
+        with pytest.raises(FormatError, match=f"^code file {re.escape(str(path))}: 'template' must be a string, got "):
             space.read_code_file(str(path))
 
     def test_rejects_foreign_ratio(self, tmp_path):
         path = tmp_path / "code.json"
         path.write_text('{"template": "x", "ratios": [1.5]}')
-        with pytest.raises(FormatError, match=f"code file {re.escape(str(path))}: ratio 1.5 at gene 0"):
+        with pytest.raises(FormatError, match=f"code file {re.escape(str(path))}: 'ratios': ratio 1.5 at gene 0"):
             space.read_code_file(str(path))
+
+
+# Each reader: a sound object, a required key and the JSON type it takes,
+# and a key that holds numbers (a code's ratio list where no float is).
+SOUND = {
+    "config": ({"template": "vgg_small_mini", "dataset": {"kind": "idx"}, "search": {"lambda": 4}, "output_dir": "o"},
+               "dataset.kind", "a string", "search.lambda"),
+    "log": (json.loads(search.SearchLogRecord(
+        generation=0, index=0, code=(1.0,), acc=1.0, flops=1.0, flops_norm=1.0, fitness=1.0, eval_seed=0,
+        wall_time=0.0, diverged=False, random_parents=False).to_json()), "acc", "a finite number", "acc"),
+    "code_file": ({"template": "t", "ratios": [1]}, "template", "a string", "ratios"),
+    "metadata": ({"template": "t", "ratios": [1], "seed": 0}, "seed", "an integer", "ratios"),
+}
+
+
+def _read(reader: str, text: bytes, tmp_path):
+    """Run `reader` on `text`: its error type, the location every message
+    starts with, the metadata's byte offset, and the call."""
+    path = tmp_path / "object"
+    path.write_bytes(text + b"\n")
+    if reader == "config":
+        return ConfigError, f"config file '{path}': ", None, lambda: config.load_run_config(str(path))
+    if reader == "log":
+        return FormatError, f"{path}:1: ", None, lambda: runner.read_search_log(str(path))
+    if reader == "code_file":
+        return FormatError, f"code file {path}: ", None, lambda: space.read_code_file(str(path))
+    blob = checkpoint.serialize_checkpoint(checkpoint.Checkpoint({}, "t", (1.0,), 0))
+    head = blob[: blob.rindex(b"{") - 4] + struct.pack("<I", len(text))
+    return FormatError, "metadata: ", len(head), lambda: checkpoint.deserialize_checkpoint(head + text)
+
+
+@pytest.mark.parametrize("fault", ["unknown_key", "missing_key", "wrong_type", "nan", "not_utf8"])
+@pytest.mark.parametrize("reader", list(SOUND))
+def test_every_reader_rejects_a_fault_naming_where_it_is(tmp_path, reader, fault):
+    sound, key, expected, numbers = SOUND[reader]
+    payload = json.loads(json.dumps(sound))
+    *parents, leaf = (numbers if fault == "nan" else key).split(".")
+    section = payload
+    for name in parents:
+        section = section[name]
+    if fault == "unknown_key":
+        payload["bogus"], message = 1, "unknown key(s) ['bogus']; allowed: "
+    elif fault == "missing_key":
+        del section[leaf]
+        message = f"missing key '{key}'"
+    elif fault == "wrong_type":
+        section[leaf], message = [], f"'{key}' must be {expected}, got []"
+    elif fault == "nan":
+        section[leaf] = [float("nan")] if leaf == "ratios" else float("nan")
+        message = f"'{numbers}': ratio nan at gene 0" if leaf == "ratios" else f"'{numbers}' must be a finite number"
+    text = json.dumps(payload).encode()
+    if fault == "not_utf8":
+        text, message = b'{"\xff": 0, ' + text[1:], "not valid JSON: 'utf-8' codec can't decode byte 0xff"
+    error, where, offset, read = _read(reader, text, tmp_path)
+    with pytest.raises(error) as e:
+        read()
+    assert str(e.value).startswith(where + message), str(e.value)
+    assert getattr(e.value, "offset", None) == offset
