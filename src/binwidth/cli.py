@@ -128,10 +128,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.kind == "idx":
-        paths = write_gray_files(args.dir, args.train_per_class, args.test_per_class, args.seed)
-    else:
-        paths = write_rgb_files(args.dir, args.train_per_class, args.test_per_class, args.seed)
+    write = write_gray_files if args.kind == "idx" else write_rgb_files
+    paths = write(args.dir, args.train_per_class, args.test_per_class, args.seed)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

@@ -13,6 +13,7 @@ import os
 
 from .checkpoint import atomic_write_text
 from .cost import count_cost
+from .runner import BEST_CODE_NAME, LOG_NAME, read_search_log
 from .search import SearchLogRecord
 from .space import layer_geometry, ratio_list, read_code_file, uniform_code
 from .templates import NetworkTemplate, get_template
@@ -76,8 +77,6 @@ def flops_csv(template: NetworkTemplate, code) -> str:
 
 def write_run_report(run_dir: str, out_dir: str | None = None) -> dict[str, str]:
     """Emit fitness.csv, channels.csv, flops.csv for a finished search run."""
-    from .runner import BEST_CODE_NAME, LOG_NAME, read_search_log
-
     out_dir = out_dir or run_dir
     os.makedirs(out_dir, exist_ok=True)
     template_name, code = read_code_file(os.path.join(run_dir, BEST_CODE_NAME))

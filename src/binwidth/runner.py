@@ -73,13 +73,6 @@ def check_fits(template: NetworkTemplate, *datasets: Dataset | None) -> None:
                              f"but the data holds {data.images.shape[1:]}")
 
 
-def _search_workers() -> int:
-    """Processes a search evaluates in: one per CPU in this process's
-    affinity mask (`taskset` restricts it), or 1 where the platform lacks
-    fork."""
-    return ops.usable_cpus() if hasattr(os, "fork") else 1
-
-
 def _train_supernet(cfg: RunConfig, proxy_train: Dataset, path: str) -> Checkpoint:
     template = get_template(cfg.template)
     code = uniform_code(4, template.n_genes)
@@ -134,7 +127,7 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
             )
 
         best, records = evolve(template, cfg.search, evaluator, log_sink=sink, prior_records=prior,
-                               workers=_search_workers())
+                               workers=ops.usable_cpus())
 
     atomic_write_text(os.path.join(cfg.output_dir, BEST_CODE_NAME), code_file_text(template.name, best.code))
     summary = {

@@ -11,10 +11,10 @@ generator derived from (master_seed, "breed", generation); every
 candidate evaluation is seeded by (master_seed, "eval", generation,
 index). The trajectory therefore depends only on the config and data,
 never on evaluation scheduling, and scheduling does vary: `evolve` may
-evaluate a generation's children one after another in-process or at
-once in worker processes, finishing in any order. Records are built and
-logged in index order either way, so the log is the same apart from
-`wall_time`, and a killed run can be resumed by replaying its log.
+evaluate a generation's children one after another in-process or, where
+the platform forks, at once in worker processes, finishing in any order.
+Records are built and logged in index order either way, so the log is the
+same apart from `wall_time`, and a killed run can be resumed by replay.
 
 A log line is a `SearchLogRecord` read by `space.read_json`: every field
 is required, and any fault (a foreign ratio too) is a `FormatError`.
@@ -251,14 +251,16 @@ def evolve(
     replay) and are never evaluated again.
 
     With `workers` > 1, a generation's fresh slots (two or more) are
-    evaluated in a pool of up to `workers` forked processes, which inherit
-    `evaluator` instead of receiving it pickled. The pool starts with the
-    first generation that needs it, is reused by the later ones, and is
-    shut down and joined before `evolve` returns or raises. Either way
-    the parent builds every record and passes it to `log_sink` in index
-    order, so the log matches a serial run's apart from `wall_time`, and
-    a killed run leaves a prefix of it. An evaluation that raises, or a
-    worker that dies, raises here naming the slot, chained from the cause.
+    evaluated in a pool of `min(workers, population_size)` forked processes
+    (no generation has more fresh slots), which inherit `evaluator` instead
+    of receiving it pickled; where the platform cannot fork, they run
+    serially. The pool starts with the first generation that needs it, is
+    reused by the later ones, and is shut down and joined before `evolve`
+    returns or raises. Either way the parent builds every record and
+    passes it to `log_sink` in index order, so the log matches a serial
+    run's apart from `wall_time`, and a killed run leaves a prefix of it.
+    An evaluation that raises, or a worker that dies, raises here naming
+    the slot, chained from the cause.
     """
     n = template.n_genes
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
@@ -285,10 +287,10 @@ def evolve(
                 )
             slots.append((idx, code, seed, rec))
         fresh = [(idx, code, seed) for idx, code, seed, rec in slots if rec is None]
-        if workers > 1 and len(fresh) > 1:
+        if workers > 1 and len(fresh) > 1 and hasattr(os, "fork"):
             if pool is None:  # through the package, which imports its process module (~1 MB) only now
                 pool = concurrent.futures.ProcessPoolExecutor(
-                    min(workers, len(fresh)), mp_context=multiprocessing.get_context("fork"),
+                    min(workers, config.population_size), mp_context=multiprocessing.get_context("fork"),
                     initializer=_install_evaluator, initargs=(evaluator, os.getpid()),
                 )
             outcomes = {idx: pool.submit(_evaluate_in_worker, code, gen, idx, seed).result

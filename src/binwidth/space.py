@@ -137,11 +137,12 @@ def json_fields(cls: type) -> dict[str, tuple]:
 def read_json(source, cls: type, error=FormatError, where: str = "", base: dict | None = None):
     """Dataclass `cls` from a JSON object (UTF-8 bytes, text or a dict) whose
     keys are its fields; any fault raises `error(message)` naming the key,
-    dotted below `where`. A value has its field's JSON type (a bool is no
-    number, a float is finite, null fills only an optional field, a nested
-    dataclass is an object). An absent key takes `base[field]` (called with
-    the values so far if callable), else the field default, else is
-    missing; a nested object's absent keys take the fields of that value."""
+    dotted below `where`, or the object if its own checks refuse it. A value
+    has its field's JSON type (a bool is no number, a float is finite, null
+    fills only an optional field, a nested dataclass is an object). An
+    absent key takes `base[field]` (called with the values so far if
+    callable), else the field default, else is missing; a nested object's
+    absent keys take the fields of that value."""
     if not where and isinstance(source, (str, bytes, bytearray)):  # text; a nested object arrives decoded
         try:
             source = json.loads(source if type(source) is str else source.decode("utf-8"))
@@ -174,7 +175,10 @@ def read_json(source, cls: type, error=FormatError, where: str = "", base: dict 
                 values[name] = kind[2](value)
             except InputError as e:
                 raise error(f"'{at}': {e}") from None
-    return cls(**values)
+    try:
+        return cls(**values)
+    except InputError as e:
+        raise error(f"'{where}': {e}" if where else str(e)) from None
 
 
 @dataclass(frozen=True)

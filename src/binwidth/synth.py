@@ -3,7 +3,8 @@
 Samples are rendered digit glyphs with jittered placement, intensity,
 and noise: enough signal that small nets learn them quickly, enough
 variation that accuracy is not trivially 100%. Generators emit raw
-format bytes so the regular parsers stay the only ingestion path.
+format bytes so the regular parsers stay the only ingestion path, and
+one loop writes the train and test files of either format.
 """
 
 from __future__ import annotations
@@ -91,32 +92,26 @@ def rgb_record_bytes(per_class: int, seed: int) -> bytes:
     return pack_cifar10_bin(*synth_rgb_images(per_class, seed))
 
 
-def write_gray_files(directory: str, train_per_class: int, test_per_class: int, seed: int = 0) -> dict[str, str]:
-    """IDX train/test pairs on disk; returns the four paths."""
+def _write_files(directory: str, keys: tuple[str, ...], suffix: str, blobs, train_per_class: int,
+                 test_per_class: int, seed: int) -> dict[str, str]:
+    """The train set's then the test set's `blobs(per_class, seed)`, one
+    file per key, named after it; returns the paths by key."""
     os.makedirs(directory, exist_ok=True)
-    paths = {
-        "train_images": os.path.join(directory, "train-images.idx"),
-        "train_labels": os.path.join(directory, "train-labels.idx"),
-        "test_images": os.path.join(directory, "test-images.idx"),
-        "test_labels": os.path.join(directory, "test-labels.idx"),
-    }
-    train = idx_bytes(train_per_class, derive_seed(seed, "train"))
-    test = idx_bytes(test_per_class, derive_seed(seed, "test"))
-    for key, blob in zip(("train_images", "train_labels", "test_images", "test_labels"), train + test):
-        with open(paths[key], "wb") as f:
+    paths = {key: os.path.join(directory, key.replace("_", "-") + suffix) for key in keys}
+    data = blobs(train_per_class, derive_seed(seed, "train")) + blobs(test_per_class, derive_seed(seed, "test"))
+    for path, blob in zip(paths.values(), data):
+        with open(path, "wb") as f:
             f.write(blob)
     return paths
 
 
+def write_gray_files(directory: str, train_per_class: int, test_per_class: int, seed: int = 0) -> dict[str, str]:
+    """IDX train/test pairs on disk; returns the four paths."""
+    keys = ("train_images", "train_labels", "test_images", "test_labels")
+    return _write_files(directory, keys, ".idx", idx_bytes, train_per_class, test_per_class, seed)
+
+
 def write_rgb_files(directory: str, train_per_class: int, test_per_class: int, seed: int = 0) -> dict[str, str]:
     """Record-format train/test files on disk; returns the two paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths = {
-        "train": os.path.join(directory, "train.bin"),
-        "test": os.path.join(directory, "test.bin"),
-    }
-    with open(paths["train"], "wb") as f:
-        f.write(rgb_record_bytes(train_per_class, derive_seed(seed, "train")))
-    with open(paths["test"], "wb") as f:
-        f.write(rgb_record_bytes(test_per_class, derive_seed(seed, "test")))
-    return paths
+    return _write_files(directory, ("train", "test"), ".bin", lambda n, s: (rgb_record_bytes(n, s),),
+                        train_per_class, test_per_class, seed)

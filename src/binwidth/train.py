@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import Dataset, make_batches
 from .errors import DivergenceError, InputError, ShapeError
+from .net import Network
 from .ops import softmax_cross_entropy
 from .seeding import derive_seed
-
-if TYPE_CHECKING:
-    from .data import Dataset
-    from .net import Network
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,6 @@ def train_network(net: Network, train_set: Dataset, config: TrainConfig) -> list
     Raises DivergenceError on a non-finite loss. Fully determined by
     (net initial state, train_set, config).
     """
-    from .data import make_batches
-
     state: dict[str, np.ndarray] = {}
     history = []
     for epoch in range(config.epochs):
@@ -126,8 +121,6 @@ def train_network(net: Network, train_set: Dataset, config: TrainConfig) -> list
 
 def accuracy(net: Network, dataset: Dataset, batch_size: int = 256) -> float:
     """Top-1 accuracy in percent, eval mode, unshuffled and unaugmented."""
-    from .data import make_batches
-
     correct = 0
     for images, labels in make_batches(dataset, batch_size, seed=0, augment=False, shuffle=False):
         logits = net.forward(images, train=False)

@@ -157,6 +157,26 @@ def test_value_of_wrong_json_type_names_its_dotted_key(tmp_path, capsys, key, va
     assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, section", [
+    ("search.population_size", 1, "search"),
+    ("proxy_train.batch_size", 0, "proxy_train"),
+    ("full_train.schedule.base_lr", -1, "full_train.schedule"),
+])
+def test_value_out_of_range_names_its_section_and_file(tmp_path, capsys, key, value, section):
+    payload = minimal_payload(write_data(tmp_path))
+    *parents, leaf = key.split(".")
+    inner = payload
+    for name in parents:
+        inner = inner.setdefault(name, {})
+    inner[leaf] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=f"^config file '{path}': '{section}': {leaf} must "):
+        cm.load_run_config(str(path))
+    assert cli.main(["search", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file '{path}': '{section}': {leaf} ")
+
+
 @pytest.mark.parametrize("kind, key", [("records", "train_images"), ("idx", "train")])
 def test_path_the_dataset_kind_does_not_read_names_its_key(tmp_path, capsys, kind, key):
     payload = minimal_payload(write_data(tmp_path, kind=kind), kind=kind)

@@ -1,5 +1,7 @@
 """File-format parsing, stratified subsets, batching, augmentation."""
 
+import hashlib
+import os
 import struct
 
 import numpy as np
@@ -136,6 +138,35 @@ class TestRecordFormat:
     def test_serialize_rejects_gray(self):
         with pytest.raises(InputError):
             dm.serialize_cifar10_bin(gray_dataset(per_class=1))
+
+
+# sha256 of each file the synthetic writers produce at (8, 2, seed 0); the
+# golden and acceptance runs train on these bytes.
+SYNTH_FILE_HASHES = {
+    "write_gray_files": {
+        "train-images.idx": "ed1bdf4af73c9bea60e68afa79d9d59808b0ff61ddca18514025a7844aeba7a7",
+        "train-labels.idx": "2e2d4901dd7d2d4dfd2ad1b65cf197be4ca845fcc941dadb519d932b2e5b517b",
+        "test-images.idx": "c4eef05c1d0f2673dce66ff4580454bb5e4a6e214a0e1163e8684a0246f6b321",
+        "test-labels.idx": "50143c08f8b63ef3f61dc5cf0d8724ea26262006335a4d74c8c7fe4fc1f099e1",
+    },
+    "write_rgb_files": {
+        "train.bin": "8b726698b8e9e8c1bc6aa68d6099aa7f407c60bb96bd509583cf0ece3eb288ee",
+        "test.bin": "94f355474167fad7a6937595fc13299a3ac7c471276adf5550a0aa3f23f7731b",
+    },
+}
+
+
+@pytest.mark.parametrize("writer", sorted(SYNTH_FILE_HASHES))
+def test_synthetic_files_keep_their_bytes(tmp_path, writer):
+    paths = getattr(synth, writer)(str(tmp_path), 8, 2, 0)
+    assert sorted(os.listdir(tmp_path)) == sorted(SYNTH_FILE_HASHES[writer])
+    got = {}
+    for key, path in paths.items():
+        assert os.path.dirname(path) == str(tmp_path)
+        with open(path, "rb") as f:
+            got[os.path.basename(path)] = hashlib.sha256(f.read()).hexdigest()
+    assert got == SYNTH_FILE_HASHES[writer]
+    assert list(got) == list(SYNTH_FILE_HASHES[writer])  # the returned keys keep train before test
 
 
 class TestStratified:

@@ -444,6 +444,36 @@ class TestWorkers:
         _, replayed = search.evolve(t, cfg, score_distance_to(2.0), prior_records=records, workers=2)
         assert replayed == records
 
+    def test_without_fork_runs_serially(self, monkeypatch):
+        t, cfg = templates.resnet_mini(), small_config()
+        _, serial = search.evolve(t, cfg, score_distance_to(2.0))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started on a platform without fork")
+
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _, records = search.evolve(t, cfg, score_distance_to(2.0), workers=2)
+        assert strip_wall_time(records) == strip_wall_time(serial)
+
+    def test_pool_is_sized_by_the_population_not_the_first_pooled_generation(self, monkeypatch):
+        # A resumed run whose first pooled generation has two fresh slots
+        # still evaluates the later generations' seven on four workers.
+        t = templates.resnet_mini()
+        cfg = search.SearchConfig(population_size=8, generations=3, elitism_count=1, master_seed=3)
+        _, serial = search.evolve(t, cfg, score_distance_to(2.0))
+        sizes = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def spy(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return real(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        _, resumed = search.evolve(t, cfg, score_distance_to(2.0), prior_records=serial[:6], workers=4)
+        assert sizes == [4]
+        assert strip_wall_time(resumed) == strip_wall_time(serial)
+
     def test_worker_exception_names_the_slot(self):
         t, cfg = templates.resnet_mini(), small_config()
         _, records = search.evolve(t, cfg, score_distance_to(2.0))
