@@ -12,21 +12,32 @@ Conventions
   forward map. A ctx may hold the forward's input itself, not a copy, so
   that input must not be written to before the backward pass.
 * Convolution streams over the batch: it builds the im2col patch matrix
-  of one chunk of samples at a time, at most CONV_CHUNK_BYTES of it (one
-  sample at least), so the matrix stays in a core's L2 cache and no
-  whole-batch patch matrix is ever live. Its ctx holds the padded input,
-  from which the backward pass rebuilds each chunk's patch matrix.
+  of one chunk of samples at a time, so the matrix stays in a core's L2
+  cache and no whole-batch patch matrix is ever live. Its ctx holds the
+  padded input, from which the backward pass rebuilds each chunk's patch
+  matrix. Batch norm and the activation quantizer (`quant`) run over
+  batch chunks the same way; batch norm keeps whole-array sums for an
+  input of one chunk, of one channel, 2-D, or of another plane layout
+  (`_by_batch`).
+* `_on_lanes` makes every chunk: each holds at most CHUNK_BYTES (one
+  sample at least). An array that fits in one chunk
+  runs in the calling thread; otherwise the chunk count is a multiple of
+  the lane count and chunk sizes differ by one sample at most.
 * The chunks run on lanes: the calling thread and one helper thread per
   further CPU in the process's affinity mask (`taskset` bounds them).
   Chunk i goes to lane i mod k. Each chunk writes only its own slices of
-  the output and gradient buffers, and the weight gradient is still one
-  sum in the calling thread, so every bit is the same at any lane count.
-  Helpers allocate nothing: each lane reuses buffers that the calling
-  thread allocates before it dispatches (per-thread malloc arenas would
-  otherwise keep the helpers' freed temporaries resident). Helpers run
-  in the caller's `contextvars` context, so `np.errstate` holds on every
-  lane. With more than one lane, BLAS runs one thread; a forked child
-  starts its own helpers, and `use_one_core` sets a process to one lane.
+  the outputs, and every sum across chunks is taken in the calling
+  thread, so every bit is the same at any lane count: the conv's weight
+  gradient is one sum over per-sample partials, and batch norm's
+  per-channel sums add per-(sample, channel) row sums with `sum(axis=0)`,
+  which adds them in the order of the whole-array `sum(axis=(0, 2, 3))`.
+  The calling thread allocates every output and every lane's scratch
+  buffer before it dispatches, so helpers allocate no full-size array
+  (per-thread malloc arenas would otherwise keep the helpers' freed
+  temporaries resident). Helpers run in the caller's `contextvars`
+  context, so `np.errstate` holds on every lane. With more than one lane,
+  BLAS runs one thread; a forked child starts its own helpers, and
+  `use_one_core` sets a process to one lane.
 """
 
 import concurrent.futures
@@ -42,10 +53,11 @@ from .errors import InputError, ShapeError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-# Patch-matrix bytes per conv batch chunk: one core's 2 MiB L2. In the sweep
-# recorded in BENCH_conv.json, budgets from 128 KiB to 8 MiB ran within about
-# 10% of each other, and one whole-batch chunk ran up to 80% slower.
-CONV_CHUNK_BYTES = 2 << 20
+# Bytes per batch chunk of a kernel's per-sample data (a conv's patch matrix,
+# a batch norm's or quantizer's input): one core's 2 MiB L2. In the conv sweep recorded
+# in BENCH_conv.json, budgets from 128 KiB to 8 MiB ran within about 10% of
+# each other, and one whole-batch chunk ran up to 80% slower.
+CHUNK_BYTES = 2 << 20
 
 
 def _out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -87,11 +99,11 @@ def _col2im_add(cols: np.ndarray, gx_pad: np.ndarray, kh: int, kw: int, stride: 
             gx_pad[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, :, i, j]
 
 
-# Lanes a conv runs its chunks on; None is one per CPU in the affinity
+# Lanes a kernel runs its chunks on; None is one per CPU in the affinity
 # mask, read at each call. `use_one_core` sets it to 1.
 _lanes: int | None = None
-# (helper count, executor) once a conv has run on more than one lane. The
-# count is the lane cap less one, so a conv's chunk count never rebuilds it.
+# (helper count, executor) once a kernel has run on more than one lane. The
+# count is the lane cap less one, so a kernel's chunk count never rebuilds it.
 _helpers: tuple[int, concurrent.futures.ThreadPoolExecutor] | None = None
 
 
@@ -144,29 +156,40 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helpers)
 
 
-def _on_lanes(work, n: int, buffers) -> None:
-    """Call work(chunk, *lane_buffers) for each batch chunk of n samples,
-    chunk i on lane i mod k. `buffers` lists one (sample shape, dtype)
-    pair per lane buffer, the patch matrix first; a chunk's patch matrix
-    holds at most CONV_CHUNK_BYTES, one sample at least. Each lane gets
-    one array per pair, with a chunk's rows, allocated here in the
-    calling thread."""
+def _chunk_bounds(n: int, sample_bytes: int, lanes: int) -> list[int]:
+    """Bounds of the chunks of n samples: the fewest chunks of at most
+    CHUNK_BYTES (one sample at least) if that is one, else the least
+    multiple of `lanes` at least that many (n at most), sizes within one
+    sample."""
+    count = -(-n // max(1, CHUNK_BYTES // max(1, sample_bytes)))
+    if count > 1:
+        count = min(n, -(-count // lanes) * lanes)
+    return [i * n // count for i in range(count + 1)]
+
+
+def _on_lanes(work, n: int, sample_bytes: int, buffers=lambda size: ()) -> None:
+    """Call work(chunk, *buffers) for each batch chunk (a slice) of n
+    samples of `sample_bytes` each, chunk i on lane i mod k
+    (`_chunk_bounds` makes the chunks). `buffers(size)` makes one lane's
+    scratch arrays for chunks of up to `size` samples; it is called here,
+    in the calling thread, once per lane."""
     if n == 0:
         return
-    patch_shape, patch_dtype = buffers[0]
-    step = max(1, CONV_CHUNK_BYTES // (math.prod(patch_shape) * np.dtype(patch_dtype).itemsize))
-    chunks = [slice(a, a + step) for a in range(0, n, step)]
-    lanes = min(cap := _lanes or usable_cpus(), len(chunks))
-    lane_buffers = [[np.empty((min(step, n), *shape), dtype) for shape, dtype in buffers] for _ in range(lanes)]
+    cap = _lanes or usable_cpus()
+    bounds = _chunk_bounds(n, sample_bytes, cap)
+    chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    lanes = min(cap, len(chunks))
+    lane_buffers = [buffers(-(-n // len(chunks))) for _ in range(lanes)]
 
     def lane(i: int) -> None:
         for chunk in chunks[i::lanes]:
             work(chunk, *lane_buffers[i])
 
-    futures = []
-    if lanes > 1:
-        pool = _helper_pool(cap - 1)
-        futures = [pool.submit(contextvars.copy_context().run, lane, i) for i in range(1, lanes)]
+    if lanes == 1:
+        lane(0)
+        return
+    pool = _helper_pool(cap - 1)
+    futures = [pool.submit(contextvars.copy_context().run, lane, i) for i in range(1, lanes)]
     try:
         lane(0)
     finally:
@@ -198,7 +221,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
     def run(chunk, cols):
         np.matmul(wmat, _im2col(x_pad[chunk], kh, kw, stride, hout, wout, cols), out=out[chunk])
 
-    _on_lanes(run, n, [((cin * kh * kw, hout * wout), x_pad.dtype)])
+    patch = (cin * kh * kw, hout * wout)
+    _on_lanes(run, n, math.prod(patch) * x_pad.itemsize, lambda size: (np.empty((size, *patch), x_pad.dtype),))
     return out.reshape(n, cout, hout, wout), (x_pad, w, stride, pad, hout, wout)
 
 
@@ -224,7 +248,8 @@ def conv2d_backward(ctx, gout: np.ndarray):
         _col2im_add(gcols, gx_pad[chunk], kh, kw, stride, hout, wout)
 
     patch = (cin * kh * kw, hout * wout)
-    _on_lanes(run, n, [(patch, x_pad.dtype), (patch, np.result_type(w, go))])
+    _on_lanes(run, n, math.prod(patch) * x_pad.itemsize,
+              lambda size: (np.empty((size, *patch), x_pad.dtype), np.empty((size, *patch), np.result_type(w, go))))
     gx = gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
     return gx, parts.sum(axis=0).reshape(w.shape)
 
@@ -267,6 +292,46 @@ def _bn_axes(x: np.ndarray):
     raise ShapeError(f"batch_norm expects 2-D or 4-D input, got {x.shape}")
 
 
+def _by_batch(x: np.ndarray, work, sums=(), scratch=None) -> list[np.ndarray]:
+    """Run work(b, put, tmp) over batch chunks b (slices) of x's shape and
+    return the per-channel sums it puts, one per dtype in `sums`.
+
+    work computes on the [b] slices of its arrays alone. put(i, a) records
+    sum i of a, an [len(b), C, ...] block of dtype sums[i], over every axis
+    but the channel's. tmp is a scratch array like x[b] of dtype `scratch`,
+    or None.
+
+    A 4-D x of more than one chunk (CHUNK_BYTES) and two channels or more,
+    whose (sample, channel) planes are contiguous or each one broadcast
+    value (as global_avg_pool_backward returns), runs on lanes: put writes
+    a's per-(sample, channel) sums into an [N, C] array, which this thread
+    reduces with `sum(axis=0)`, adding them as the whole-array
+    `sum(axis=(0, 2, 3))` does. Any other x runs in one call on the whole
+    batch, with whole-array sums: numpy sums a 2-D or one-channel x
+    pairwise over the whole block, and other plane layouts in another
+    order.
+    """
+    n, c = x.shape[:2]
+    split = x.ndim == 4 and c > 1 and x.nbytes > CHUNK_BYTES
+    if not (split and (x.flags.c_contiguous or x.strides == (c * x.itemsize, x.itemsize, 0, 0))):
+        out = [None] * len(sums)
+        axes = _bn_axes(x)[0]
+
+        def put(i, a):
+            out[i] = a.sum(axis=axes)
+
+        work(slice(None), put, None if scratch is None else np.empty_like(x, scratch))
+        return out
+    rows = [np.empty((n, c), dtype) for dtype in sums]
+
+    def run(b, tmp=None):
+        work(b, lambda i, a: a.sum(axis=(2, 3), out=rows[i][b]), None if tmp is None else tmp[: b.stop - b.start])
+
+    _on_lanes(run, n, x.nbytes // n,
+              lambda size: () if scratch is None else (np.empty((size, *x.shape[1:]), scratch),))
+    return [r.sum(axis=0) for r in rows]
+
+
 def _bn_reshape(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape(1, -1, 1, 1) if ndim == 4 else v.reshape(1, -1)
 
@@ -279,49 +344,82 @@ def batch_norm_forward(
     running_var: np.ndarray,
     train: bool,
 ):
-    """Batch normalization. Train mode updates running stats in place.
+    """Batch normalization over batch chunks. Train mode updates running
+    stats in place.
 
     Normalization uses the biased batch variance; the running variance is
     updated with the unbiased estimate (the dominant framework convention).
+    The statistics follow np.mean's and np.var's own steps, so they have
+    their bits.
     """
-    axes, c, m = _bn_axes(x)
+    _, c, m = _bn_axes(x)
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean), ("running_var", running_var)):
         if arr.shape != (c,):
             raise ShapeError(f"{name} shape {arr.shape} != ({c},) for input {x.shape}")
     if train:
-        mean = x.mean(axis=axes, keepdims=True)
-        xhat = x - mean  # centred once; scaled into xhat in place below
-        var = np.square(xhat).sum(axis=axes) / m  # np.var's own steps, so np.var's bits
+        (total,) = _by_batch(x, lambda b, put, tmp: put(0, x[b]), (x.dtype,))
+        mean = _bn_reshape(total / m, x.ndim)
+        xhat = np.empty_like(x, np.result_type(x, mean))  # centred first, scaled in place below
+
+        def centre(b, put, tmp):
+            np.subtract(x[b], mean, out=xhat[b])
+            put(0, np.square(xhat[b], out=tmp))
+
+        (squares,) = _by_batch(x, centre, (xhat.dtype,), xhat.dtype)
+        var = squares / m
         running_var *= 1 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var * (m / (m - 1)) if m > 1 else BN_MOMENTUM * var
         running_mean *= 1 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.reshape(c)
     else:
-        xhat = x - _bn_reshape(running_mean, x.ndim)
-        var = running_var
+        mean, var = _bn_reshape(running_mean, x.ndim), running_var
+        xhat = np.empty_like(x, np.result_type(x, mean))
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= _bn_reshape(inv_std, x.ndim)
-    out = _bn_reshape(gamma, x.ndim) * xhat
-    out += _bn_reshape(beta, x.ndim)
-    ctx = (xhat, gamma, inv_std, train, m)
-    return out.astype(x.dtype, copy=False), ctx
+    scale, g, bias = (_bn_reshape(v, x.ndim) for v in (inv_std, gamma, beta))
+    out = np.empty_like(x, np.result_type(g, xhat))
+
+    def normalize(b, put, tmp):
+        if not train:
+            np.subtract(x[b], mean, out=xhat[b])
+        xhat[b] *= scale
+        np.multiply(g, xhat[b], out=out[b])
+        out[b] += bias
+
+    _by_batch(x, normalize)
+    return out.astype(x.dtype, copy=False), (xhat, gamma, inv_std, train, m)
 
 
 def batch_norm_backward(ctx, gout: np.ndarray):
-    """Gradients (gx, ggamma, gbeta); exact for the train-mode map."""
+    """Gradients (gx, ggamma, gbeta) over batch chunks; exact for the
+    train-mode map."""
     xhat, gamma, inv_std, train, m = ctx
-    axes, _, _ = _bn_axes(gout)
-    tmp = gout * xhat
-    ggamma = tmp.sum(axis=axes)
-    gbeta = gout.sum(axis=axes)
-    gx = gout * _bn_reshape(gamma, gout.ndim)  # d/dxhat, turned into d/dx in place
+    _bn_axes(gout)
+    g, scale = _bn_reshape(gamma, gout.ndim), _bn_reshape(inv_std, gout.ndim)
+    gx = np.empty_like(gout, np.result_type(gout, g))  # d/dxhat, turned into d/dx in place
+    tmp_dtype = np.result_type(gout, xhat)
+
+    def grads(b, put, tmp):
+        put(0, np.multiply(gout[b], xhat[b], out=tmp))
+        put(1, gout[b])
+        np.multiply(gout[b], g, out=gx[b])
+        if train:
+            put(2, gx[b])
+            put(3, np.multiply(gx[b], xhat[b], out=tmp))
+        else:
+            gx[b] *= scale
+
+    sums = (tmp_dtype, gout.dtype) + ((gx.dtype, tmp_dtype) if train else ())
+    ggamma, gbeta, *train_sums = _by_batch(gout, grads, sums, tmp_dtype)
     if train:
         # d/dx of (x - mean)/sqrt(var + eps) with batch mean/var as functions of x
-        mean_g = gx.sum(axis=axes) / m
-        proj = np.multiply(gx, xhat, out=tmp).sum(axis=axes) / m
-        gx -= _bn_reshape(mean_g, gout.ndim)
-        gx -= np.multiply(xhat, _bn_reshape(proj, gout.ndim), out=tmp)
-    gx *= _bn_reshape(inv_std, gout.ndim)
+        mean_g, proj = (_bn_reshape(total / m, gout.ndim) for total in train_sums)
+
+        def centre(b, put, tmp):
+            gx[b] -= mean_g
+            gx[b] -= np.multiply(xhat[b], proj, out=tmp)
+            gx[b] *= scale
+
+        _by_batch(gout, centre, (), tmp_dtype)
     return gx.astype(gout.dtype, copy=False), ggamma, gbeta
 
 

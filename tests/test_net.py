@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from binwidth import net as net_mod
-from binwidth import ops, space, templates
+from binwidth import ops, space, templates, train
+from binwidth.data import Dataset
 from binwidth.errors import InputError, ShapeError
 
 from helpers import rel_err, specs
@@ -197,6 +198,28 @@ class TestBackward:
         _, dlogits = ops.softmax_cross_entropy(logits, np.zeros(2, dtype=int))
         net.backward(dlogits)
         assert np.any(net.grads["stem_conv.weight"])
+
+
+class TestLanes:
+    @pytest.mark.parametrize("name", ["resnet_mini", "vgg_small_mini"])
+    def test_one_and_three_lanes_give_the_same_bits(self, name, monkeypatch):
+        # One unit per chunk: every conv, batch norm and quantizer splits.
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 1)
+        runs = []
+        for lanes in (1, 3):
+            monkeypatch.setattr(ops, "_lanes", lanes)
+            network = build(name, ratio=2)
+            x = batch_for(network, n=6)
+            logits = network.forward(x, train=True)
+            _, grad = train.softmax_cross_entropy(logits, np.arange(6) % 10)
+            network.backward(grad)
+            arrays = [network.forward(x, train=False), logits, *network.grads.values()]
+            data = Dataset(batch_for(network, n=12, seed=1), np.arange(12) % 10, class_count=10)
+            train.train_network(network, data, train.TrainConfig(epochs=1, batch_size=6))
+            runs.append(arrays + list(network.state_dict().values()))
+        assert len(runs[0]) == len(runs[1])
+        for one, three in zip(*runs):
+            assert one.dtype == three.dtype and np.array_equal(one.view(np.uint32), three.view(np.uint32))
 
 
 class TestStateDict:

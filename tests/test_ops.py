@@ -1,10 +1,12 @@
 """Kernel correctness: forward against loop oracles, backward against
 finite differences, conv, max-pool and batch norm bit for bit against
-their straightforward references."""
+their straightforward references, and the chunks and lanes that conv,
+batch norm and the activation quantizer run on."""
 
 import multiprocessing
 import os
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binwidth import ops
+from binwidth import ops, quant
 from binwidth.errors import InputError, ShapeError
 
 from helpers import (
@@ -28,7 +30,7 @@ def rand(shape, seed, dtype=np.float64, scale=1.0):
 
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
-    uint = np.uint32 if got.dtype == np.float32 else np.uint64
+    uint = np.dtype(f"u{got.itemsize}")
     assert np.array_equal(np.ascontiguousarray(got).view(uint), np.ascontiguousarray(want).view(uint))
 
 
@@ -110,8 +112,8 @@ class TestConvBackward:
 
 
 def chunk_boundary_sizes(sample_bytes):
-    """Batch sizes 1 and below, at and above conv2d's first and second chunk boundaries."""
-    step = max(1, ops.CONV_CHUNK_BYTES // sample_bytes)
+    """Batch sizes 1 and below, at and above the sizes at which conv2d's chunk count rises to two and three."""
+    step = max(1, ops.CHUNK_BYTES // sample_bytes)
     return sorted({1, step - 1, step, step + 1, 2 * step + 1} - {0})
 
 
@@ -124,8 +126,57 @@ CONV_BITWISE_CASES = [pytest.param(8, 6, 3, 16, stride, pad, None, id=f"3x3-stri
 CONV_BITWISE_CASES.append(pytest.param(1, 1, 1, 64, 1, 0, (9, 130, 200), id="1x1-single-weight"))
 
 
-# A conv's lanes: the calling thread alone, and one or two helpers with it.
+# A kernel's lanes: the calling thread alone, and one or two helpers with it.
 LANE_COUNTS = (1, 2, 3)
+# One sample per chunk, and the default budget.
+CHUNK_BUDGETS = (1, ops.CHUNK_BYTES)
+
+
+def run_lane_kernels(x):
+    """Conv, train-mode batch norm and the activation quantizer, forward
+    and backward, on x [N, 3, H, W]: every output and gradient, in order."""
+    w = np.where(np.arange(5 * 3 * 9).reshape(5, 3, 3, 3) % 2, 0.5, -0.5).astype(x.dtype)
+    out, ctx = ops.conv2d_forward(x, w, 1, 1)
+    results = [out, *ops.conv2d_backward(ctx, out)]
+    ones, zeros = np.ones(3, x.dtype), np.zeros(3, x.dtype)
+    rm, rv = zeros.copy(), ones.copy()
+    out, ctx = ops.batch_norm_forward(x, ones, zeros, rm, rv, True)
+    results += [out, *ops.batch_norm_backward(ctx, x), rm, rv]
+    q = quant.binarize_activations(x)
+    return results + [q.values, q.pass_mask, quant.ste_activation_grad(x, q.pass_mask)]
+
+
+class TestChunks:
+    def test_a_split_array_takes_a_multiple_of_the_lanes_in_near_equal_chunks(self):
+        # resnet_mini's stage-1 batch norm input at batch 35: 32 and 3
+        # samples by the budget alone, 17 and 18 balanced.
+        sample = 16 * 32 * 32 * 4
+        assert ops._chunk_bounds(35, sample, 1) == [0, 17, 35]
+        assert ops._chunk_bounds(35, sample, 2) == [0, 17, 35]
+        assert ops._chunk_bounds(35, sample, 3) == [0, 11, 23, 35]
+        for n in range(1, 40):
+            for sample in (1, 3, 50_000, 300_000, ops.CHUNK_BYTES, 3 * ops.CHUNK_BYTES):
+                fewest = -(-n // max(1, ops.CHUNK_BYTES // sample))
+                for lanes in LANE_COUNTS:
+                    bounds = ops._chunk_bounds(n, sample, lanes)
+                    sizes = np.diff(bounds)
+                    assert bounds[0] == 0 and bounds[-1] == n and sizes.min() >= 1
+                    assert sizes.max() * sample <= ops.CHUNK_BYTES or sizes.max() == 1
+                    if fewest == 1:
+                        assert len(sizes) == 1
+                    else:
+                        assert sizes.max() - sizes.min() <= 1
+                        assert len(sizes) % lanes == 0 or len(sizes) == n
+
+    def test_an_array_that_fits_one_chunk_runs_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(ops, "_lanes", 3)
+        calls = []
+
+        def work(chunk):
+            calls.append((chunk, threading.get_ident()))
+
+        ops._on_lanes(work, 10, ops.CHUNK_BYTES // 10)
+        assert calls == [(slice(0, 10), threading.get_ident())]
 
 
 class TestConv:
@@ -155,49 +206,48 @@ class TestConv:
             assert out.shape == (0, 3, 5, 5) and gx.shape == (0, 2, 5, 5)
             assert_same_bits(gw, np.zeros(w.shape, dtype=dtype))
 
+    # The lane machinery's tests run batch norm and the activation quantizer
+    # on lanes as well as the conv.
     def test_more_lanes_than_cpus_under_fast_thread_switching(self, monkeypatch):
         # A chunk written twice, lost or written to another's slice changes bits.
-        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
-        x, w = rand((12, 3, 10, 10), 42, np.float32), rand((5, 3, 3, 3), 43, np.float32)
-        gout = rand((12, 5, 10, 10), 44, np.float32)
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 1)
+        x = rand((12, 3, 10, 10), 42, np.float32)
         monkeypatch.setattr(ops, "_lanes", 1)
-        out, ctx = ops.conv2d_forward(x, w, 1, 1)
-        want = (out, *ops.conv2d_backward(ctx, gout))
+        want = run_lane_kernels(x)
         monkeypatch.setattr(ops, "_lanes", ops.usable_cpus() + 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                out, ctx = ops.conv2d_forward(x, w, 1, 1)
-                for got, exp in zip((out, *ops.conv2d_backward(ctx, gout)), want):
+                for got, exp in zip(run_lane_kernels(x), want, strict=True):
                     assert_same_bits(got, exp)
         finally:
             sys.setswitchinterval(interval)
 
     def test_helper_lanes_keep_the_callers_errstate(self, monkeypatch):
-        # One sample per chunk, so every lane runs several chunks; inf
-        # against weights of both signs makes inf - inf in every matmul.
+        # One sample per chunk, so every lane runs several chunks; inf against
+        # weights of both signs makes inf - inf in every matmul, and in
+        # batch norm's centring.
         monkeypatch.setattr(ops, "_lanes", 3)
-        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
-        x = np.full((9, 2, 5, 5), np.inf, dtype=np.float32)
-        w = np.where(np.arange(36).reshape(2, 2, 3, 3) % 2, 1.0, -1.0).astype(np.float32)
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 1)
+        x = np.full((9, 3, 5, 5), np.inf, dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
-                out, ctx = ops.conv2d_forward(x, w, 1, 1)
-                ops.conv2d_backward(ctx, np.full(out.shape, np.inf, dtype=np.float32))
-        assert np.isnan(out).any()
+                results = run_lane_kernels(x)
+        assert all(np.isnan(a).any() for a in results[:5])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_starts_its_own_helpers(self, monkeypatch):
         # The child inherits the parent's executor but none of its threads.
         monkeypatch.setattr(ops, "_lanes", 2)
-        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
-        x, w = rand((8, 3, 16, 16), 40, np.float32), rand((4, 3, 3, 3), 41, np.float32)
-        want = ops.conv2d(x, w, 1, 1)
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 1)
+        x = rand((8, 3, 16, 16), 40, np.float32)
+        want = run_lane_kernels(x)
 
         def child():
-            os._exit(0 if np.array_equal(ops.conv2d(x, w, 1, 1), want) else 1)
+            same = all(np.array_equal(got, exp) for got, exp in zip(run_lane_kernels(x), want, strict=True))
+            os._exit(0 if same else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
         proc.start()
@@ -282,23 +332,40 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             ops.batch_norm_forward(rand((2, 3, 4, 4), 0), np.ones(2), np.zeros(3), np.zeros(3), np.ones(3), True)
 
-    @pytest.mark.parametrize("shape", [(7, 5), (1, 3), (6, 4, 5, 3), (3, 8, 6, 6)])
+    # The last two shapes are one channel, which keeps the whole-array sums,
+    # and larger than one default chunk.
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 3), (6, 4, 5, 3), (3, 8, 6, 6), (3, 1, 6, 6), (35, 16, 32, 32)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False])
-    def test_bitwise_equal_to_np_var_reference(self, shape, dtype, train):
+    def test_bitwise_equal_to_np_var_reference(self, shape, dtype, train, monkeypatch):
         rng = np.random.default_rng(41)
         c = shape[1]
-        for _ in range(5):
+        for _ in range(5 if len(shape) == 2 or shape[0] < 35 else 1):
             x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
             gamma, beta = (rng.standard_normal(c) + 1).astype(dtype), rng.standard_normal(c).astype(dtype)
             rm, rv = rng.standard_normal(c).astype(dtype), (np.abs(rng.standard_normal(c)) + 0.5).astype(dtype)
             gout = rng.standard_normal(shape).astype(dtype)
             gout[rng.random(shape) < 0.2] = -0.0
-            rm_want, rv_want = rm.copy(), rv.copy()
-            want = batch_norm_reference(x, gamma, beta, rm_want, rv_want, train, gout)
-            y, ctx = ops.batch_norm_forward(x, gamma, beta, rm, rv, train)
-            for got, exp in zip((y, *ops.batch_norm_backward(ctx, gout), rm, rv), (*want, rm_want, rv_want)):
-                assert_same_bits(got, exp)
+            cases = [(x, gout)]
+            if len(shape) == 4:
+                # gout read-only and zero-strided, as global_avg_pool_backward
+                # returns it; gout as a padded max-pool's backward returns it;
+                # x and gout channels-last. The last two keep whole-array sums.
+                padded = np.pad(gout, ((0, 0), (0, 0), (1, 1), (1, 1)))[:, :, 1:-1, 1:-1]
+                last = [np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2) for a in (x, gout)]
+                cases += [(x, ops.global_avg_pool_backward(shape, gout[:, :, 0, 0])), (x, padded), tuple(last)]
+            for x, gout in cases:
+                rm_want, rv_want = rm.copy(), rv.copy()
+                want = (*batch_norm_reference(x, gamma, beta, rm_want, rv_want, train, gout), rm_want, rv_want)
+                for lanes in LANE_COUNTS:
+                    for chunk_bytes in CHUNK_BUDGETS:
+                        monkeypatch.setattr(ops, "_lanes", lanes)
+                        monkeypatch.setattr(ops, "CHUNK_BYTES", chunk_bytes)
+                        rm_got, rv_got = rm.copy(), rv.copy()
+                        y, ctx = ops.batch_norm_forward(x, gamma, beta, rm_got, rv_got, train)
+                        got = (y, *ops.batch_norm_backward(ctx, gout), rm_got, rv_got)
+                        for g, exp in zip(got, want, strict=True):
+                            assert_same_bits(g, exp)
 
 
 class TestMaxPool:

@@ -1,5 +1,7 @@
 """1-bit quantizer semantics and straight-through gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,22 @@ class TestBinarizeWeights:
         with pytest.raises(InputError):
             quant.binarize_weights(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signs_are_built_in_the_weights_dtype(self, dtype):
+        w = np.random.default_rng(4).standard_normal((1024, 1024)).astype(dtype)
+        w[0, :3] = (0.0, -0.0, -np.inf)
+        tracemalloc.start()
+        try:
+            signs = quant.binarize_weights(w).signs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert signs.dtype == dtype
+        want = np.where(w < 0, -1.0, 1.0).astype(dtype)
+        assert np.array_equal(signs.view(f"u{w.itemsize}"), want.view(f"u{w.itemsize}"))
+        # The signs and the w < 0 mask; float64 signs cast down would need 3x.
+        assert peak < 3 * w.nbytes
+
     @given(finite_arrays)
     @settings(max_examples=40, deadline=None)
     def test_values_have_single_magnitude(self, w):
@@ -57,6 +75,9 @@ class TestBinarizeActivations:
 
     def test_half_rounds_up(self):
         assert quant.binarize_activations(np.array([0.5])).values[0] == 1.0
+        # floor(x + 0.5) rounds this float32 sum to 1 as well; x >= 0.5 would not.
+        below = np.array([np.nextafter(np.float32(0.5), np.float32(0))], dtype=np.float32)
+        assert quant.binarize_activations(below).values[0] == 1.0
 
     def test_idempotent_on_binary_values(self):
         x = np.array([0.0, 1.0, 1.0, 0.0])
@@ -96,6 +117,48 @@ class TestSteGradients:
         # the gradient of every saturated entry.
         with pytest.raises(ShapeError):
             quant.ste_activation_grad(np.array([1.0, 2.0, 3.0]), mask)
+
+
+# Edge values of the quantizer: nextafter(0.5, 0) + 0.5 rounds to 1, so it
+# quantizes to 1 as 0.5 does, where a test x >= 0.5 would give 0.
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, np.nextafter(np.float32(0.5), np.float32(0)),
+               np.nextafter(0.5, 0.0), 1.0, np.nextafter(1.0, 2.0), -1e-30, 3.0]
+# One sample per chunk, and the default budget.
+CHUNK_BUDGETS = (1, ops.CHUNK_BYTES)
+
+
+class TestActivationQuantizerOnLanes:
+    """binarize_activations and ste_activation_grad, at every lane count and
+    chunk budget, bit for bit against the plain formulas."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7, 5), (12, 3, 10, 10), (35, 16, 32, 32)])
+    def test_bitwise_equal_to_the_plain_formulas(self, shape, dtype, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = (rng.standard_normal(shape) * 0.7 + 0.5).astype(dtype)
+        x.flat[: 2 * len(EDGE_VALUES) : 2] = EDGE_VALUES
+        # The upstream gradient as a conv backward leaves it: a strided view.
+        up = rng.standard_normal((*shape[:-1], shape[-1] + 2)).astype(dtype)[..., 1:-1]
+        up.flat[: 2 * len(EDGE_VALUES)] = EDGE_VALUES * 2
+        bits = f"u{np.dtype(dtype).itemsize}"
+        values = np.floor(np.clip(x, 0.0, 1.0) + 0.5).astype(dtype)
+        mask = (x >= 0.0) & (x <= 1.0)
+        grad = np.where(mask, up, np.zeros((), dtype))
+        for lanes in (1, 2, 3):
+            for chunk_bytes in CHUNK_BUDGETS:
+                monkeypatch.setattr(ops, "_lanes", lanes)
+                monkeypatch.setattr(ops, "CHUNK_BYTES", chunk_bytes)
+                q = quant.binarize_activations(x)
+                assert q.values.dtype == dtype and np.array_equal(q.values.view(bits), values.view(bits))
+                assert np.array_equal(q.pass_mask, mask)
+                got = quant.ste_activation_grad(up, q.pass_mask)
+                assert got.dtype == dtype and np.array_equal(got.view(bits), grad.view(bits))
+
+    def test_a_zero_strided_upstream(self):
+        x = np.array([[-1.0, 0.5], [0.25, 2.0]], dtype=np.float32)
+        up = np.broadcast_to(np.array([[-0.0], [3.0]], dtype=np.float32), (2, 2))
+        got = quant.ste_activation_grad(up, quant.binarize_activations(x).pass_mask)
+        assert np.array_equal(got.view(np.uint32), np.array([[0.0, -0.0], [3.0, 0.0]], dtype=np.float32).view(np.uint32))
 
 
 class TestBinaryConv:

@@ -410,7 +410,7 @@ class TestWorkers:
         # A training step first starts this process's helper threads, as a
         # supernet or a benchmark's train job does before a search.
         monkeypatch.setattr(ops, "_lanes", 2)
-        monkeypatch.setattr(ops, "CONV_CHUNK_BYTES", 1)
+        monkeypatch.setattr(ops, "CHUNK_BYTES", 1)
         t, cfg, evaluator = self.proxy_setup()
         images, labels = synth.synth_gray_images(per_class=8, seed=1)
         network = net.instantiate(t, space.uniform_code(1, t.n_genes), seed=0)
