@@ -61,7 +61,7 @@ print("grad shapes:", gx.shape, gw.shape)
 # Inputs already at {0,1} pass the activation quantizer unchanged, so
 # the binary conv equals a float conv on the binarized weights.
 hard = (images > 0.5).astype(np.float64)
-plain = ops.conv2d(hard, qkernels.values)
+plain = ops.conv2d_forward(hard, qkernels.values)[0]
 print()
 print("matches float conv on hard inputs:",
-      np.allclose(ops.conv2d(quant.binarize_activations(hard).values, qkernels.values), plain))
+      np.allclose(ops.conv2d_forward(quant.binarize_activations(hard).values, qkernels.values)[0], plain))

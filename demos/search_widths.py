@@ -12,6 +12,7 @@ import numpy as np
 from binwidth import (
     Dataset,
     SearchConfig,
+    TrainConfig,
     count_cost,
     evolve,
     get_template,
@@ -39,7 +40,8 @@ config = SearchConfig(
 # Every evaluation is logged; collecting the records here is exactly
 # what the run directory's search_log.jsonl captures.
 records = []
-evaluator = make_proxy_evaluator(tmpl, proxy_train, proxy_val, config)
+evaluator = make_proxy_evaluator(tmpl, proxy_train, proxy_val, config,
+                                 TrainConfig(epochs=config.proxy_epochs))
 best, _ = evolve(tmpl, config, evaluator, log_sink=records.append)
 
 print(f"{'gen':>3s} {'idx':>3s}  {'code':24s} {'acc':>6s} {'norm':>6s} {'fitness':>8s}")

@@ -17,10 +17,7 @@ from .data import (
     make_batches,
     parse_cifar10_bin,
     parse_mnist_idx,
-    serialize_cifar10_bin,
-    serialize_mnist_idx,
     stratified_split,
-    stratified_subset,
 )
 from .errors import (
     BinwidthError,
@@ -60,7 +57,6 @@ from .space import (
     resolve_channels,
     uniform_code,
     validate_code,
-    write_code_file,
 )
 from .templates import TEMPLATES, BlockSpec, LayerSpec, NetworkTemplate, get_template
 from .train import (

@@ -35,7 +35,6 @@ class LayerCost:
 class CostReport:
     template: str
     code: ExpansionCode
-    binary: bool
     layers: tuple[LayerCost, ...]
     flops: float
     flops_norm: float
@@ -89,7 +88,6 @@ def count_cost(template: NetworkTemplate, code: Iterable[float], binary: bool = 
     return CostReport(
         template=template.name,
         code=code,
-        binary=binary,
         layers=tuple(layers),
         flops=total,
         flops_norm=total / base_binary,

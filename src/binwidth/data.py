@@ -2,9 +2,9 @@
 
 Parsers ingest the two classic image formats bit-exactly: IDX (big-endian
 magic and dims, raw ubyte payload) and the 3073-byte-record binary layout
-(label byte, then R/G/B planes row-major). Parsed pixels live in [0,1];
-standardization with fixed per-channel statistics happens at batch time
-so a Dataset can be serialized back to its source bytes.
+(label byte, then R/G/B planes row-major). Parsed pixels are the file's
+bytes over 255, in [0,1]; standardization with fixed per-channel
+statistics happens at batch time.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ def pack_mnist_idx(pixels: np.ndarray, labels: np.ndarray) -> tuple[bytes, bytes
     return image_bytes, label_bytes
 
 
-def serialize_mnist_idx(dataset: Dataset) -> tuple[bytes, bytes]:
-    """Inverse of parse_mnist_idx; exact for datasets that came from bytes."""
-    return pack_mnist_idx(np.rint(np.asarray(dataset.images) * 255.0).astype(np.uint8), dataset.labels)
-
-
 def parse_cifar10_bin(data: bytes, split: str = "train") -> Dataset:
     """Parse 3073-byte records (label, R plane, G plane, B plane)."""
     if len(data) % RGB_RECORD_BYTES != 0:
@@ -131,11 +126,6 @@ def pack_cifar10_bin(pixels: np.ndarray, labels: np.ndarray) -> bytes:
     return records.tobytes()
 
 
-def serialize_cifar10_bin(dataset: Dataset) -> bytes:
-    """Inverse of parse_cifar10_bin; exact for datasets that came from bytes."""
-    return pack_cifar10_bin(np.rint(np.asarray(dataset.images) * 255.0).astype(np.uint8), dataset.labels)
-
-
 def _stratified(dataset: Dataset, sizes: tuple[int, ...], splits: tuple[str, ...], seed: int) -> list[Dataset]:
     """Each class's samples in one seeded shuffle, cut into runs of `sizes`;
     run k of every class, in class order, forms a Dataset of split `splits[k]`."""
@@ -150,13 +140,6 @@ def _stratified(dataset: Dataset, sizes: tuple[int, ...], splits: tuple[str, ...
             run.append(part)
     orders = [np.concatenate(run) for run in runs]
     return [Dataset(dataset.images[o], dataset.labels[o], dataset.class_count, split) for o, split in zip(orders, splits)]
-
-
-def stratified_subset(dataset: Dataset, per_class: int, seed: int) -> Dataset:
-    """Exactly per_class samples of every class, chosen by seeded shuffle."""
-    if per_class < 1:
-        raise InputError(f"per_class must be >= 1, got {per_class}")
-    return _stratified(dataset, (per_class,), (dataset.split,), seed)[0]
 
 
 def stratified_split(dataset: Dataset, per_class_a: int, per_class_b: int, seed: int) -> tuple[Dataset, Dataset]:

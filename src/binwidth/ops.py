@@ -254,11 +254,6 @@ def conv2d_backward(ctx, gout: np.ndarray):
     return gx, parts.sum(axis=0).reshape(w.shape)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    out, _ = conv2d_forward(x, w, stride, pad)
-    return out
-
-
 def fully_connected_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Affine map x [N,D] @ w [D,M] + b [M]."""
     if x.ndim != 2 or w.ndim != 2:
@@ -276,11 +271,6 @@ def fully_connected_backward(ctx, gout: np.ndarray):
     gw = x.T @ gout
     gb = gout.sum(axis=0)
     return gx, gw, gb
-
-
-def fully_connected(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out, _ = fully_connected_forward(x, w, b)
-    return out
 
 
 def _bn_axes(x: np.ndarray):
@@ -468,11 +458,6 @@ def max_pool2d_backward(ctx, gout: np.ndarray) -> np.ndarray:
     for gview, hit in zip(_pool_views(gx_pad, k, stride, hout, wout)[::-1], hits[::-1]):
         gview += gout * hit
     return gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
-
-
-def max_pool2d(x: np.ndarray, k: int, stride: int, pad: int = 0) -> np.ndarray:
-    out, _ = max_pool2d_forward(x, k, stride, pad)
-    return out
 
 
 def global_avg_pool_forward(x: np.ndarray):

@@ -66,9 +66,14 @@ def _drop_torn_tail(path: str) -> bool:
 
 
 def check_fits(template: NetworkTemplate, *datasets: Dataset | None) -> None:
-    """Refuse data whose images are not the template's (C, H, W) before any work on it."""
+    """Refuse data that holds no images, or images not of the template's
+    (C, H, W), before any work on it."""
     for data in datasets:
-        if data is not None and data.images.shape[1:] != template.input_shape:
+        if data is None:
+            continue
+        if not len(data):
+            raise InputError(f"template '{template.name}' got {data.split} data with no images")
+        if data.images.shape[1:] != template.input_shape:
             raise InputError(f"template '{template.name}' takes {template.input_shape} images (C, H, W), "
                              f"but the data holds {data.images.shape[1:]}")
 

@@ -174,21 +174,19 @@ def evaluate_candidate(
     proxy_val: Dataset,
     config: SearchConfig,
     eval_seed: int,
-    train_config: TrainConfig | None = None,
+    train_config: TrainConfig,
     supernet: Checkpoint | None = None,
 ) -> Individual:
     """Train a short proxy schedule and score the candidate.
 
     Deterministic in (code, eval_seed): the network init and the batch
     order both derive from eval_seed. Training follows `train_config` with
-    its seed replaced by the derived one; without a `train_config` it runs
-    `config.proxy_epochs` epochs at the `TrainConfig` defaults. A training
-    divergence is not fatal; the candidate scores accuracy 0 and is flagged.
+    its seed replaced by the derived one. A training divergence is not
+    fatal; the candidate scores accuracy 0 and is flagged.
     """
     cost = count_cost(template, code)
     code = cost.code
-    base = train_config if train_config is not None else TrainConfig(epochs=config.proxy_epochs)
-    proxy_cfg = dataclasses.replace(base, seed=derive_seed(eval_seed, "train"))
+    proxy_cfg = dataclasses.replace(train_config, seed=derive_seed(eval_seed, "train"))
     net = instantiate(template, code, seed=derive_seed(eval_seed, "init"))
     if supernet is not None:
         net.load_state_dict(inherit_weights(supernet, template, code).arrays)
@@ -379,7 +377,7 @@ def make_proxy_evaluator(
     proxy_train: Dataset,
     proxy_val: Dataset,
     config: SearchConfig,
-    train_config: TrainConfig | None = None,
+    train_config: TrainConfig,
     supernet: Checkpoint | None = None,
 ) -> Evaluator:
     """The production evaluator: proxy training on real data."""

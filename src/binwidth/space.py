@@ -101,11 +101,6 @@ def code_file_text(template_name: str, code: Iterable[float]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_code_file(path: str, template_name: str, code: Iterable[float]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(code_file_text(template_name, code))
-
-
 # Field type -> (what its JSON value must be, the test, the conversion).
 # `type(v) is int` keeps bools, an int subclass, out of the numbers; NaN,
 # infinities and ints beyond the largest float fail the float's bound.

@@ -290,7 +290,6 @@ def count_cost_reference(template, code, binary: bool = True):
     return cost.CostReport(
         template=template.name,
         code=code,
-        binary=binary,
         layers=tuple(layers),
         flops=total,
         flops_norm=total / base_binary,

@@ -19,7 +19,7 @@ from binwidth import config as cm
 from binwidth import net as net_mod
 from binwidth import ops, quant, runner, search, space, synth, templates, train
 from binwidth.cost import count_cost
-from binwidth.data import Dataset, parse_cifar10_bin, serialize_cifar10_bin, stratified_split
+from binwidth.data import Dataset, parse_cifar10_bin, stratified_split
 from binwidth.seeding import derive_seed
 
 from helpers import act_conv_pass, numeric_grad, rel_err, surrogate_conv_grads
@@ -96,7 +96,7 @@ def test_ste_gradient_matches_surrogate_network_to_1e6():
                  rng.uniform(1.05, 2.0, size=(2, 4, 6, 6))).astype(np.float32)
     w = (0.375 * np.where(rng.standard_normal((4, 4, 3, 3)) < 0, -1.0, 1.0)).astype(np.float32)
     out, _, gw = act_conv_pass(x, w, tangent)
-    assert rel_err(out, ops.conv2d(np.clip(x, 0, 1), w, 1, 1)) < 1e-12
+    assert rel_err(out, ops.conv2d_forward(np.clip(x, 0, 1), w, 1, 1)[0]) < 1e-12
     _, sw = surrogate_conv_grads(x, w, tangent)
     assert rel_err(gw, sw) < 1e-6
 
@@ -108,8 +108,8 @@ def test_full_precision_layers_pass_float32_gradcheck_1e2():
     w = (rng.standard_normal((4, 3, 3, 3)) * 0.5).astype(np.float32)
     _, ctx = ops.conv2d_forward(x, w, stride=1, pad=1)
     gx, gw = ops.conv2d_backward(ctx, np.ones((2, 4, 6, 6), dtype=np.float32))
-    fd_x = numeric_grad(lambda v: ops.conv2d(v, w, 1, 1).sum(), x, eps=1e-2)
-    fd_w = numeric_grad(lambda v: ops.conv2d(x, v, 1, 1).sum(), w, eps=1e-2)
+    fd_x = numeric_grad(lambda v: ops.conv2d_forward(v, w, 1, 1)[0].sum(), x, eps=1e-2)
+    fd_w = numeric_grad(lambda v: ops.conv2d_forward(x, v, 1, 1)[0].sum(), w, eps=1e-2)
     assert rel_err(gx, fd_x) < 1e-2
     assert rel_err(gw, fd_w) < 1e-2
 
@@ -175,7 +175,7 @@ def test_toy_search_end_to_end_budget_anchor_and_monotonicity():
     proxy_train, proxy_val = stratified_split(full, 500, 100, seed=0)
     t = templates.vgg_small_mini()
     cfg = search.SearchConfig(population_size=8, generations=5, proxy_epochs=2, master_seed=0)
-    evaluator = search.make_proxy_evaluator(t, proxy_train, proxy_val, cfg)
+    evaluator = search.make_proxy_evaluator(t, proxy_train, proxy_val, cfg, train.TrainConfig(epochs=cfg.proxy_epochs))
 
     started = time.perf_counter()
     best, records = search.evolve(t, cfg, evaluator, workers=len(os.sched_getaffinity(0)))
@@ -263,8 +263,10 @@ def test_untrained_accuracy_near_chance_10pct_pm_3():
 # --- formats -----------------------------------------------------------------
 
 def test_record_format_round_trip_byte_identical():
-    blob = synth.rgb_record_bytes(per_class=20, seed=5)
-    assert serialize_cifar10_bin(parse_cifar10_bin(blob)) == blob
+    pixels, labels = synth.synth_rgb_images(per_class=20, seed=5)
+    parsed = parse_cifar10_bin(synth.rgb_record_bytes(per_class=20, seed=5))
+    np.testing.assert_array_equal(parsed.images, pixels.astype(np.float32) / 255)
+    np.testing.assert_array_equal(parsed.labels, labels)
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):

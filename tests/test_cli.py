@@ -64,9 +64,9 @@ class TestFlops:
         assert "csv template,code," in out
 
     def test_code_file_input(self, tmp_path, capsys):
-        code_path = str(tmp_path / "code.json")
-        space.write_code_file(code_path, "vgg_small_mini", (0.5, 1.0, 2.0, 1.0))
-        assert cli.main(["flops", "--template", "vgg_small_mini", "--code", code_path]) == 0
+        code_path = tmp_path / "code.json"
+        code_path.write_text(space.code_file_text("vgg_small_mini", (0.5, 1.0, 2.0, 1.0)))
+        assert cli.main(["flops", "--template", "vgg_small_mini", "--code", str(code_path)]) == 0
         assert "0.5 1.0 2.0 1.0" in capsys.readouterr().out
 
     def test_out_file_holds_csv(self, tmp_path, capsys):
@@ -93,10 +93,10 @@ class TestFlops:
         assert "input error" in capsys.readouterr().err
 
     def test_code_and_uniform_together_are_refused(self, tmp_path, capsys):
-        code_path = str(tmp_path / "code.json")
-        space.write_code_file(code_path, "vgg_small_mini", space.uniform_code(1, 4))
+        code_path = tmp_path / "code.json"
+        code_path.write_text(space.code_file_text("vgg_small_mini", space.uniform_code(1, 4)))
         with pytest.raises(SystemExit) as e:
-            cli.main(["flops", "--template", "vgg_small_mini", "--code", code_path, "--uniform", "2"])
+            cli.main(["flops", "--template", "vgg_small_mini", "--code", str(code_path), "--uniform", "2"])
         assert e.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
@@ -107,9 +107,9 @@ class TestFlops:
         assert cli.main(["flops", "--template", "vgg_small", "--uniform", "1.7"]) == 2
 
     def test_template_mismatch_in_code_file(self, tmp_path):
-        code_path = str(tmp_path / "code.json")
-        space.write_code_file(code_path, "resnet_mini", space.uniform_code(1, 6))
-        assert cli.main(["flops", "--template", "vgg_small", "--code", code_path]) == 2
+        code_path = tmp_path / "code.json"
+        code_path.write_text(space.code_file_text("resnet_mini", space.uniform_code(1, 6)))
+        assert cli.main(["flops", "--template", "vgg_small", "--code", str(code_path)]) == 2
 
     def test_code_file_without_template_string_is_format_error(self, tmp_path, capsys):
         code_path = tmp_path / "code.json"
@@ -268,6 +268,39 @@ class TestTemplateMustFitData:
         assert self.MESSAGE in capsys.readouterr().err
 
 
+class TestEmptyDataIsRefused:
+    """Zero-byte record files parse to datasets that hold no images."""
+
+    def config(self, tmp_path):
+        paths = {name: str(tmp_path / f"{name}.bin") for name in ("train", "test")}
+        for path in paths.values():
+            open(path, "wb").close()
+        payload = {"template": "resnet_mini", "dataset": {"kind": "records", **paths},
+                   "output_dir": str(tmp_path / "run")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(payload))
+        return str(cfg_path)
+
+    def test_train_refuses_before_training(self, tmp_path, capsys):
+        cfg_path = self.config(tmp_path)
+        assert cli.main(["train", "--config", cfg_path, "--uniform", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "input error: template 'resnet_mini' got train data with no images" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "run" / "model.ckpt")
+
+    def test_eval_refuses(self, tmp_path, capsys):
+        cfg_path = self.config(tmp_path)
+        code = space.uniform_code(1, 6)
+        ckpt_path = str(tmp_path / "resnet.ckpt")
+        network = instantiate(templates.resnet_mini(), code, seed=0)
+        write_checkpoint(ckpt_path, Checkpoint(network.state_dict(), "resnet_mini", code, 0))
+        assert cli.main(["eval", "--config", cfg_path, "--ckpt", ckpt_path]) == 2
+        err = capsys.readouterr().err
+        assert "input error: template 'resnet_mini' got test data with no images" in err
+        assert "Traceback" not in err
+
+
 class TestInherit:
     def test_slices_match_library_call(self, tmp_path, capsys):
         sup_path = supernet_ckpt(tmp_path)
@@ -313,7 +346,7 @@ class TestReportVerb:
             assert os.path.exists(os.path.join(rep_dir, name))
 
     def test_log_line_not_utf8_is_format_error_at_its_line(self, tmp_path, capsys):
-        space.write_code_file(str(tmp_path / "best_code.json"), "vgg_small_mini", (1.0,) * 4)
+        (tmp_path / "best_code.json").write_text(space.code_file_text("vgg_small_mini", (1.0,) * 4))
         record = SearchLogRecord(generation=0, index=0, code=(1.0,) * 4, acc=50.0, flops=1.0, flops_norm=1.0,
                                  fitness=0.5, eval_seed=7, wall_time=0.0, diverged=False, random_parents=False)
         log_path = tmp_path / "search_log.jsonl"

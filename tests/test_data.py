@@ -51,11 +51,10 @@ class TestDatasetValidation:
 
 class TestIdxFormat:
     def test_round_trip_byte_identical(self):
-        image_bytes, label_bytes = synth.idx_bytes(per_class=4, seed=1)
-        d = dm.parse_mnist_idx(image_bytes, label_bytes)
-        back_images, back_labels = dm.serialize_mnist_idx(d)
-        assert back_images == image_bytes
-        assert back_labels == label_bytes
+        pixels, labels = synth.synth_gray_images(per_class=4, seed=1)
+        d = dm.parse_mnist_idx(*synth.idx_bytes(per_class=4, seed=1))
+        np.testing.assert_array_equal(d.images, pixels.astype(np.float32) / 255)
+        np.testing.assert_array_equal(d.labels, labels)
 
     def test_header_fields(self):
         image_bytes, label_bytes = synth.idx_bytes(per_class=2, seed=0)
@@ -104,14 +103,15 @@ class TestIdxFormat:
 
     def test_serialize_rejects_rgb(self):
         with pytest.raises(InputError):
-            dm.serialize_mnist_idx(rgb_dataset(per_class=1))
+            dm.pack_mnist_idx(*synth.synth_rgb_images(per_class=1, seed=0))
 
 
 class TestRecordFormat:
     def test_round_trip_byte_identical(self):
-        blob = synth.rgb_record_bytes(per_class=3, seed=2)
-        d = dm.parse_cifar10_bin(blob)
-        assert dm.serialize_cifar10_bin(d) == blob
+        pixels, labels = synth.synth_rgb_images(per_class=3, seed=2)
+        d = dm.parse_cifar10_bin(synth.rgb_record_bytes(per_class=3, seed=2))
+        np.testing.assert_array_equal(d.images, pixels.astype(np.float32) / 255)
+        np.testing.assert_array_equal(d.labels, labels)
 
     def test_plane_order(self):
         # One record: label then 1024 red, 1024 green, 1024 blue bytes.
@@ -137,7 +137,7 @@ class TestRecordFormat:
 
     def test_serialize_rejects_gray(self):
         with pytest.raises(InputError):
-            dm.serialize_cifar10_bin(gray_dataset(per_class=1))
+            dm.pack_cifar10_bin(*synth.synth_gray_images(per_class=1, seed=0))
 
 
 # sha256 of each file the synthetic writers produce at (8, 2, seed 0); the
@@ -170,23 +170,13 @@ def test_synthetic_files_keep_their_bytes(tmp_path, writer):
 
 
 class TestStratified:
-    def test_subset_exact_histogram(self):
+    def test_split_deterministic(self):
         d = gray_dataset(per_class=8, seed=3)
-        sub = dm.stratified_subset(d, per_class=3, seed=0)
-        counts = np.bincount(sub.labels, minlength=10)
-        np.testing.assert_array_equal(counts, 3)
-
-    def test_subset_deterministic(self):
-        d = gray_dataset(per_class=8, seed=3)
-        a = dm.stratified_subset(d, per_class=3, seed=5)
-        b = dm.stratified_subset(d, per_class=3, seed=5)
-        np.testing.assert_array_equal(a.images, b.images)
-
-    def test_subset_insufficient_class_named(self):
-        d = gray_dataset(per_class=2, seed=3)
-        with pytest.raises(InputError) as e:
-            dm.stratified_subset(d, per_class=5, seed=0)
-        assert "class" in str(e.value)
+        a = dm.stratified_split(d, per_class_a=3, per_class_b=2, seed=5)
+        b = dm.stratified_split(d, per_class_a=3, per_class_b=2, seed=5)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.images, y.images)
+            np.testing.assert_array_equal(x.labels, y.labels)
 
     def test_split_disjoint_and_sized(self):
         d = gray_dataset(per_class=10, seed=4)
@@ -200,8 +190,9 @@ class TestStratified:
 
     def test_split_insufficient_raises(self):
         d = gray_dataset(per_class=5, seed=4)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as e:
             dm.stratified_split(d, per_class_a=4, per_class_b=2, seed=0)
+        assert "class" in str(e.value)
 
 
 class TestBatching:

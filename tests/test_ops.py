@@ -42,7 +42,7 @@ class TestConvForward:
         x = rng.integers(-4, 5, size=(2, 3, 8, 9)).astype(np.float32)
         w = rng.integers(-4, 5, size=(5, 3, 3, 3)).astype(np.float32)
         for stride, pad in [(1, 0), (1, 1), (2, 1), (3, 2)]:
-            fast = ops.conv2d(x, w, stride, pad)
+            fast = ops.conv2d_forward(x, w, stride, pad)[0]
             slow = conv2d_loops(x, w, stride, pad)
             assert fast.shape == slow.shape
             assert np.array_equal(fast, slow)
@@ -50,7 +50,7 @@ class TestConvForward:
     def test_matches_loop_reference_float(self):
         x = rand((2, 4, 10, 7), 1)
         w = rand((6, 4, 5, 3), 2)
-        got = ops.conv2d(x, w, stride=2, pad=2)
+        got = ops.conv2d_forward(x, w, stride=2, pad=2)[0]
         want = conv2d_loops(x, w, stride=2, pad=2)
         assert rel_err(got, want) < 1e-12
 
@@ -58,12 +58,12 @@ class TestConvForward:
         # 224 -> 112 with k=7, s=2, p=3 requires floor semantics.
         x = np.zeros((1, 1, 224, 224), dtype=np.float32)
         w = np.zeros((2, 1, 7, 7), dtype=np.float32)
-        assert ops.conv2d(x, w, stride=2, pad=3).shape == (1, 2, 112, 112)
+        assert ops.conv2d_forward(x, w, stride=2, pad=3)[0].shape == (1, 2, 112, 112)
 
     def test_1x1_conv_is_channel_mix(self):
         x = rand((2, 3, 4, 4), 3)
         w = rand((5, 3, 1, 1), 4)
-        got = ops.conv2d(x, w)
+        got = ops.conv2d_forward(x, w)[0]
         want = np.einsum("nchw,oc->nohw", x, w[:, :, 0, 0])
         assert rel_err(got, want) < 1e-12
 
@@ -71,11 +71,11 @@ class TestConvForward:
         x = np.zeros((1, 1, 4, 4), dtype=np.float32)
         w = np.zeros((1, 1, 5, 5), dtype=np.float32)
         with pytest.raises(ShapeError):
-            ops.conv2d(x, w)
+            ops.conv2d_forward(x, w)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ops.conv2d(np.zeros((1, 3, 8, 8), dtype=np.float32), np.zeros((2, 4, 3, 3), dtype=np.float32))
+            ops.conv2d_forward(np.zeros((1, 3, 8, 8), dtype=np.float32), np.zeros((2, 4, 3, 3), dtype=np.float32))
 
     @given(
         n=st.integers(1, 2), cin=st.integers(1, 3), cout=st.integers(1, 3),
@@ -88,7 +88,7 @@ class TestConvForward:
             return
         x = np.zeros((n, cin, h, w), dtype=np.float32)
         kern = np.zeros((cout, cin, k, k), dtype=np.float32)
-        out = ops.conv2d(x, kern, stride, pad)
+        out = ops.conv2d_forward(x, kern, stride, pad)[0]
         assert out.shape == (n, cout, (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1)
 
 
@@ -100,10 +100,10 @@ class TestConvBackward:
         tangent = rand((2, 3, (6 + 2 * pad - 3) // stride + 1, (5 + 2 * pad - 3) // stride + 1), 7)
 
         def loss_x(xv):
-            return float((ops.conv2d(xv, w, stride, pad) * tangent).sum())
+            return float((ops.conv2d_forward(xv, w, stride, pad)[0] * tangent).sum())
 
         def loss_w(wv):
-            return float((ops.conv2d(x, wv, stride, pad) * tangent).sum())
+            return float((ops.conv2d_forward(x, wv, stride, pad)[0] * tangent).sum())
 
         _, ctx = ops.conv2d_forward(x, w, stride, pad)
         gx, gw = ops.conv2d_backward(ctx, tangent)
@@ -261,22 +261,22 @@ class TestConv:
 class TestFullyConnected:
     def test_forward_is_affine(self):
         x, w, b = rand((4, 6), 8), rand((6, 3), 9), rand((3,), 10)
-        assert rel_err(ops.fully_connected(x, w, b), x @ w + b) == 0
+        assert rel_err(ops.fully_connected_forward(x, w, b)[0], x @ w + b) == 0
 
     def test_gradients_match_finite_differences(self):
         x, w, b = rand((3, 5), 11), rand((5, 4), 12), rand((4,), 13)
         tangent = rand((3, 4), 14)
         _, ctx = ops.fully_connected_forward(x, w, b)
         gx, gw, gb = ops.fully_connected_backward(ctx, tangent)
-        assert rel_err(gx, numeric_grad(lambda v: float((ops.fully_connected(v, w, b) * tangent).sum()), x)) < 1e-8
-        assert rel_err(gw, numeric_grad(lambda v: float((ops.fully_connected(x, v, b) * tangent).sum()), w)) < 1e-8
-        assert rel_err(gb, numeric_grad(lambda v: float((ops.fully_connected(x, w, v) * tangent).sum()), b)) < 1e-8
+        assert rel_err(gx, numeric_grad(lambda v: float((ops.fully_connected_forward(v, w, b)[0] * tangent).sum()), x)) < 1e-8
+        assert rel_err(gw, numeric_grad(lambda v: float((ops.fully_connected_forward(x, v, b)[0] * tangent).sum()), w)) < 1e-8
+        assert rel_err(gb, numeric_grad(lambda v: float((ops.fully_connected_forward(x, w, v)[0] * tangent).sum()), b)) < 1e-8
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            ops.fully_connected(rand((2, 3), 0), rand((4, 5), 1), rand((5,), 2))
+            ops.fully_connected_forward(rand((2, 3), 0), rand((4, 5), 1), rand((5,), 2))
         with pytest.raises(ShapeError):
-            ops.fully_connected(rand((2, 3), 0), rand((3, 5), 1), rand((4,), 2))
+            ops.fully_connected_forward(rand((2, 3), 0), rand((3, 5), 1), rand((4,), 2))
 
 
 class TestBatchNorm:
@@ -371,12 +371,12 @@ class TestBatchNorm:
 class TestMaxPool:
     def test_known_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        y = ops.max_pool2d(x, k=2, stride=2)
+        y = ops.max_pool2d_forward(x, k=2, stride=2)[0]
         assert np.array_equal(y[0, 0], np.array([[5, 7], [13, 15]], dtype=np.float32))
 
     def test_padding_uses_neutral_fill(self):
         x = -np.ones((1, 1, 2, 2), dtype=np.float32)
-        y = ops.max_pool2d(x, k=3, stride=2, pad=1)
+        y = ops.max_pool2d_forward(x, k=3, stride=2, pad=1)[0]
         # Padded cells must never win over real (negative) values.
         assert (y == -1).all()
 
@@ -399,7 +399,7 @@ class TestMaxPool:
         tangent = rand((1, 1, 3, 3), 26)
         _, ctx = ops.max_pool2d_forward(x, k=2, stride=2)
         gx = ops.max_pool2d_backward(ctx, tangent)
-        want = numeric_grad(lambda v: float((ops.max_pool2d(v, 2, 2) * tangent).sum()), x, eps=1e-3)
+        want = numeric_grad(lambda v: float((ops.max_pool2d_forward(v, 2, 2)[0] * tangent).sum()), x, eps=1e-3)
         assert rel_err(gx, want) < 1e-9
 
     def test_overlapping_windows(self):

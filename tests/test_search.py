@@ -559,7 +559,8 @@ class TestEvaluateCandidate:
     def test_scores_are_consistent(self):
         cfg = search.SearchConfig(population_size=4, generations=1, proxy_epochs=1)
         code = space.uniform_code(1, self.t.n_genes)
-        ind = search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=5)
+        ind = search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=5,
+                                        train_config=train.TrainConfig(epochs=cfg.proxy_epochs))
         assert 0.0 <= ind.acc <= 100.0
         assert ind.cost.flops_norm == pytest.approx(1.0)
         assert ind.fitness == search.fitness(ind.acc, ind.cost.flops_norm, cfg.lambda_)
@@ -568,8 +569,9 @@ class TestEvaluateCandidate:
     def test_deterministic_in_eval_seed(self):
         cfg = search.SearchConfig(population_size=4, generations=1, proxy_epochs=1)
         code = space.uniform_code(1, self.t.n_genes)
-        a = search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=9)
-        b = search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=9)
+        proxy = train.TrainConfig(epochs=cfg.proxy_epochs)
+        a = search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=9, train_config=proxy)
+        b = search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=9, train_config=proxy)
         assert a.acc == b.acc
 
     def test_divergence_scores_zero_and_flags(self):
@@ -595,11 +597,10 @@ class TestEvaluateCandidate:
         explicit = train.TrainConfig(epochs=3, batch_size=32)
         code = space.uniform_code(1, self.t.n_genes)
         search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=2, train_config=explicit)
-        search.evaluate_candidate(code, self.t, self.train_set, self.val_set, cfg, eval_seed=2)
-        assert seen[0] == dataclasses.replace(explicit, seed=seeding.derive_seed(2, "train"))
-        assert seen[1] == train.TrainConfig(epochs=1, seed=seeding.derive_seed(2, "train"))
+        assert seen == [dataclasses.replace(explicit, seed=seeding.derive_seed(2, "train"))]
 
     def test_code_validated(self):
         cfg = search.SearchConfig(population_size=4, generations=1, proxy_epochs=0)
         with pytest.raises(InputError):
-            search.evaluate_candidate((1.0,), self.t, self.train_set, self.val_set, cfg, eval_seed=0)
+            search.evaluate_candidate((1.0,), self.t, self.train_set, self.val_set, cfg, eval_seed=0,
+                                      train_config=train.TrainConfig(epochs=cfg.proxy_epochs))

@@ -430,17 +430,15 @@ class TestDrawnTemplates:
 
 class TestCodeFiles:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "code.json")
+        path = tmp_path / "code.json"
         code = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
-        space.write_code_file(path, "resnet_mini", code)
-        name, got = space.read_code_file(path)
+        path.write_text(space.code_file_text("resnet_mini", code))
+        name, got = space.read_code_file(str(path))
         assert name == "resnet_mini"
         assert got == code
 
-    def test_exact_decimal_serialization(self, tmp_path):
-        path = str(tmp_path / "code.json")
-        space.write_code_file(path, "vgg_small_mini", (0.25, 0.5, 1.0, 4.0))
-        text = open(path).read()
+    def test_exact_decimal_serialization(self):
+        text = space.code_file_text("vgg_small_mini", (0.25, 0.5, 1.0, 4.0))
         assert "0.25" in text and "0.5" in text
         assert " 1," in text or " 1\n" in text  # whole ratios stay integers
         assert "1.0" not in text
