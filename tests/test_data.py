@@ -190,9 +190,14 @@ class TestStratified:
 
     def test_split_insufficient_raises(self):
         d = gray_dataset(per_class=5, seed=4)
-        with pytest.raises(InputError) as e:
+        with pytest.raises(InputError):
             dm.stratified_split(d, per_class_a=4, per_class_b=2, seed=0)
-        assert "class" in str(e.value)
+
+    def test_subset_insufficient_class_named(self):
+        d = gray_dataset(per_class=2, seed=3)
+        with pytest.raises(InputError) as e:
+            dm.stratified_split(d, per_class_a=4, per_class_b=1, seed=0)
+        assert "class 0 has 2 samples, need 5" in str(e.value)
 
 
 class TestBatching:
