@@ -84,9 +84,7 @@ def _cmd_train(args) -> int:
     supernet = read_checkpoint(args.inherit) if args.inherit else None
     train_set = cfg.dataset.load_train()
     test_set = cfg.dataset.load_test() if cfg.dataset.has_test() else None
-    out_dir = args.out or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, "model.ckpt")
+    out_path = os.path.join(args.out or cfg.output_dir, "model.ckpt")
     result = run_train(cfg.template, code, train_set, train_cfg, test_set=test_set,
                        supernet=supernet, out_path=out_path)
     print(f"checkpoint:  {out_path}")

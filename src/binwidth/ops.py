@@ -13,12 +13,15 @@ Conventions
   that input must not be written to before the backward pass.
 * Convolution streams over the batch: it builds the im2col patch matrix
   of one chunk of samples at a time, so the matrix stays in a core's L2
-  cache and no whole-batch patch matrix is ever live. Its ctx holds the
-  padded input, from which the backward pass rebuilds each chunk's patch
+  cache and no whole-batch patch matrix is ever live. A padded conv pads
+  each chunk in its lane's buffer, whose border is zeroed once, so no
+  padded copy of the batch is made either. Its ctx holds the input, from
+  which the backward pass pads each chunk again and rebuilds its patch
   matrix. Batch norm and the activation quantizer (`quant`) run over
   batch chunks the same way; batch norm keeps whole-array sums for an
   input of one chunk, of one channel, 2-D, or of another plane layout
-  (`_by_batch`).
+  (`_by_batch`). Eval-mode batch norm normalizes into its output and
+  allocates nothing else of the input's size.
 * `_on_lanes` makes every chunk: each holds at most CHUNK_BYTES (one
   sample at least). An array that fits in one chunk
   runs in the calling thread; otherwise the chunk count is a multiple of
@@ -69,10 +72,21 @@ def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _pad_nchw(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _pad_buffer(x: np.ndarray, size: int, pad: int) -> np.ndarray | None:
+    """One lane's buffer for `_padded`: zeros of shape [size, C, H+2p, W+2p],
+    or None when pad is 0."""
+    _, c, h, w = x.shape
+    return np.zeros((size, c, h + 2 * pad, w + 2 * pad), x.dtype) if pad else None
+
+
+def _padded(x: np.ndarray, chunk: slice, pad: int, buf: np.ndarray | None) -> np.ndarray:
+    """x[chunk] with `pad` zeros around each plane: the chunk copied into the
+    interior of buf, whose border stays zero (x[chunk] itself when pad is 0)."""
+    if buf is None:
+        return x[chunk]
+    x_pad = buf[: chunk.stop - chunk.start]
+    x_pad[:, :, pad:-pad, pad:-pad] = x[chunk]
+    return x_pad
 
 
 def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int, buf: np.ndarray) -> np.ndarray:
@@ -201,9 +215,11 @@ def _on_lanes(work, n: int, sample_bytes: int, buffers=lambda size: ()) -> None:
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
     """Cross-correlate x [N,Cin,H,W] with w [Cout,Cin,kh,kw], one batch chunk at a time.
 
-    ctx holds the padded input (x itself when pad is 0), not the patch
-    matrix. Each sample's output is the same matmul as over the whole
-    batch at once, so neither the chunking nor the lanes change a bit.
+    Each chunk is padded in its lane's buffer just before its patch matrix
+    is built, so no padded copy of the whole batch is made; ctx holds x
+    itself, from which the backward pass pads each chunk again. Each
+    sample's output is the same matmul as over the whole batch at once, so
+    neither the chunking nor the lanes change a bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
@@ -214,43 +230,46 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
     hout = _out_size(h, kh, stride, pad)
     wout = _out_size(wid, kw, stride, pad)
 
-    x_pad = _pad_nchw(x, pad)
     wmat = w.reshape(cout, -1)
     out = np.empty((n, cout, hout * wout), dtype=np.result_type(x, w))
 
-    def run(chunk, cols):
-        np.matmul(wmat, _im2col(x_pad[chunk], kh, kw, stride, hout, wout, cols), out=out[chunk])
+    def run(chunk, cols, x_pad):
+        np.matmul(wmat, _im2col(_padded(x, chunk, pad, x_pad), kh, kw, stride, hout, wout, cols), out=out[chunk])
 
     patch = (cin * kh * kw, hout * wout)
-    _on_lanes(run, n, math.prod(patch) * x_pad.itemsize, lambda size: (np.empty((size, *patch), x_pad.dtype),))
-    return out.reshape(n, cout, hout, wout), (x_pad, w, stride, pad, hout, wout)
+    _on_lanes(run, n, math.prod(patch) * x.itemsize,
+              lambda size: (np.empty((size, *patch), x.dtype), _pad_buffer(x, size, pad)))
+    return out.reshape(n, cout, hout, wout), (x, w, stride, pad, hout, wout)
 
 
 def conv2d_backward(ctx, gout: np.ndarray):
     """Gradients (gx, gw) of conv2d_forward, one batch chunk at a time.
 
-    The per-sample weight-gradient partials fill one [N, Cout, Cin*kh*kw]
-    buffer chunk by chunk, and a single `sum(axis=0)` over it adds them
-    as over the whole batch at once, so gw keeps its bits as well.
+    Each chunk's patch matrix is rebuilt from x, padded in the lane's
+    buffer as in the forward pass. The per-sample weight-gradient partials
+    fill one [N, Cout, Cin*kh*kw] buffer chunk by chunk, and a single
+    `sum(axis=0)` over it adds them as over the whole batch at once, so gw
+    keeps its bits as well.
     """
-    x_pad, w, stride, pad, hout, wout = ctx
-    n = gout.shape[0]
-    cout, cin, kh, kw = w.shape
+    x, w, stride, pad, hout, wout = ctx
+    n, cin, h, wid = x.shape
+    cout, _, kh, kw = w.shape
     go = gout.reshape(n, cout, hout * wout)
     wmat_t = w.reshape(cout, -1).T
-    gx_pad = np.zeros(x_pad.shape, dtype=np.result_type(gout, w))
-    parts = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gout, x_pad))
+    gx_pad = np.zeros((n, cin, h + 2 * pad, wid + 2 * pad), dtype=np.result_type(gout, w))
+    parts = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gout, x))
 
-    def run(chunk, cols, gcols):
-        cols = _im2col(x_pad[chunk], kh, kw, stride, hout, wout, cols)
+    def run(chunk, cols, gcols, x_pad):
+        cols = _im2col(_padded(x, chunk, pad, x_pad), kh, kw, stride, hout, wout, cols)
         np.matmul(go[chunk], cols.transpose(0, 2, 1), out=parts[chunk])
         gcols = np.matmul(wmat_t, go[chunk], out=gcols[: len(cols)])
         _col2im_add(gcols, gx_pad[chunk], kh, kw, stride, hout, wout)
 
     patch = (cin * kh * kw, hout * wout)
-    _on_lanes(run, n, math.prod(patch) * x_pad.itemsize,
-              lambda size: (np.empty((size, *patch), x_pad.dtype), np.empty((size, *patch), np.result_type(w, go))))
-    gx = gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
+    _on_lanes(run, n, math.prod(patch) * x.itemsize,
+              lambda size: (np.empty((size, *patch), x.dtype), np.empty((size, *patch), np.result_type(w, go)),
+                            _pad_buffer(x, size, pad)))
+    gx = gx_pad[:, :, pad : pad + h, pad : pad + wid]
     return gx, parts.sum(axis=0).reshape(w.shape)
 
 
@@ -326,6 +345,13 @@ def _bn_reshape(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape(1, -1, 1, 1) if ndim == 4 else v.reshape(1, -1)
 
 
+def _centre_scale(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(x - mean) * scale into out, in train mode's centring and scaling steps."""
+    np.subtract(x, mean, out=out)
+    out *= scale
+    return out
+
+
 def batch_norm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -340,7 +366,9 @@ def batch_norm_forward(
     Normalization uses the biased batch variance; the running variance is
     updated with the unbiased estimate (the dominant framework convention).
     The statistics follow np.mean's and np.var's own steps, so they have
-    their bits.
+    their bits. Train mode keeps the normalized input xhat for the backward
+    pass; eval mode builds it chunk by chunk in the output itself and keeps
+    x, from which the backward pass builds xhat again by the same steps.
     """
     _, c, m = _bn_axes(x)
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean), ("running_var", running_var)):
@@ -363,28 +391,33 @@ def batch_norm_forward(
         running_mean += BN_MOMENTUM * mean.reshape(c)
     else:
         mean, var = _bn_reshape(running_mean, x.ndim), running_var
-        xhat = np.empty_like(x, np.result_type(x, mean))
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale, g, bias = (_bn_reshape(v, x.ndim) for v in (inv_std, gamma, beta))
-    out = np.empty_like(x, np.result_type(g, xhat))
+    out = np.empty_like(x, np.result_type(g, x, mean))
 
     def normalize(b, put, tmp):
-        if not train:
-            np.subtract(x[b], mean, out=xhat[b])
-        xhat[b] *= scale
-        np.multiply(g, xhat[b], out=out[b])
+        if train:
+            xhat[b] *= scale
+            np.multiply(g, xhat[b], out=out[b])
+        else:
+            np.multiply(g, _centre_scale(x[b], mean, scale, out[b]), out=out[b])
         out[b] += bias
 
     _by_batch(x, normalize)
-    return out.astype(x.dtype, copy=False), (xhat, gamma, inv_std, train, m)
+    return out.astype(x.dtype, copy=False), (xhat if train else (x, mean), gamma, inv_std, train, m)
 
 
 def batch_norm_backward(ctx, gout: np.ndarray):
     """Gradients (gx, ggamma, gbeta) over batch chunks; exact for the
     train-mode map."""
-    xhat, gamma, inv_std, train, m = ctx
+    saved, gamma, inv_std, train, m = ctx
     _bn_axes(gout)
     g, scale = _bn_reshape(gamma, gout.ndim), _bn_reshape(inv_std, gout.ndim)
+    if train:
+        xhat = saved
+    else:
+        x, mean = saved
+        xhat = _centre_scale(x, mean, scale, np.empty_like(x, np.result_type(g, x, mean)))
     gx = np.empty_like(gout, np.result_type(gout, g))  # d/dxhat, turned into d/dx in place
     tmp_dtype = np.result_type(gout, xhat)
 

@@ -160,7 +160,8 @@ def run_train(
     supernet: Checkpoint | None = None,
     out_path: str | None = None,
 ) -> dict:
-    """Train (template, code) from scratch or from an inherited supernet."""
+    """Train (template, code) from scratch or from an inherited supernet;
+    with out_path, write the checkpoint there, making its directory."""
     template = get_template(template_name)
     check_fits(template, train_set, test_set)
     net = instantiate(template, code, seed=train_cfg.seed)
@@ -174,6 +175,7 @@ def run_train(
     }
     ckpt = Checkpoint(net.state_dict(), template.name, net.code, train_cfg.seed)
     if out_path is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         write_checkpoint(out_path, ckpt)
         result["checkpoint"] = out_path
     result["network"] = net

@@ -287,7 +287,7 @@ class TestEmptyDataIsRefused:
         err = capsys.readouterr().err
         assert "input error: template 'resnet_mini' got train data with no images" in err
         assert "Traceback" not in err
-        assert not os.path.exists(tmp_path / "run" / "model.ckpt")
+        assert not os.path.exists(tmp_path / "run")
 
     def test_eval_refuses(self, tmp_path, capsys):
         cfg_path = self.config(tmp_path)

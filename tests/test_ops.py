@@ -1,12 +1,13 @@
 """Kernel correctness: forward against loop oracles, backward against
 finite differences, conv, max-pool and batch norm bit for bit against
 their straightforward references, and the chunks and lanes that conv,
-batch norm and the activation quantizer run on."""
+batch norm and the activation quantizer run on, and what they allocate."""
 
 import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +207,25 @@ class TestConv:
             assert out.shape == (0, 3, 5, 5) and gx.shape == (0, 2, 5, 5)
             assert_same_bits(gw, np.zeros(w.shape, dtype=dtype))
 
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    def test_a_padded_conv_allocates_no_padded_batch(self, lanes, monkeypatch):
+        # Each lane pads its own chunks, so the peak is the output and the
+        # lanes' patch and padding buffers, and no padded copy of the batch.
+        monkeypatch.setattr(ops, "_lanes", lanes)
+        n, cin, cout, size = 64, 8, 16, 32
+        x = rand((n, cin, size, size), 43, np.float32)
+        w = rand((cout, cin, 3, 3), 44, np.float32)
+        tracemalloc.start()
+        try:
+            out = ops.conv2d_forward(x, w, 1, 1)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes = np.diff(ops._chunk_bounds(n, cin * 9 * size * size * 4, lanes))
+        scratch = min(lanes, len(sizes)) * sizes.max() * (cin * 9 * size * size + cin * (size + 2) ** 2) * 4
+        padded_batch = n * cin * (size + 2) ** 2 * 4
+        assert peak < out.nbytes + scratch + padded_batch // 4
+
     # The lane machinery's tests run batch norm and the activation quantizer
     # on lanes as well as the conv.
     def test_more_lanes_than_cpus_under_fast_thread_switching(self, monkeypatch):
@@ -327,6 +347,21 @@ class TestBatchNorm:
         assert rel_err(gx, numeric_grad(lambda v: loss(v, gamma, beta), x)) < 1e-6
         assert rel_err(ggamma, numeric_grad(lambda v: loss(x, v, beta), gamma)) < 1e-7
         assert rel_err(gbeta, numeric_grad(lambda v: loss(x, gamma, v), beta)) < 1e-7
+
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    def test_eval_mode_allocates_only_its_output(self, lanes, monkeypatch):
+        # More than one chunk, so the lanes run it; train mode also keeps xhat.
+        monkeypatch.setattr(ops, "_lanes", lanes)
+        x = rand((35, 16, 32, 32), 45, np.float32)
+        ones, zeros = np.ones(16, np.float32), np.zeros(16, np.float32)
+        tracemalloc.start()
+        try:
+            out = ops.batch_norm_forward(x, ones, zeros, zeros.copy(), ones.copy(), train=False)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.float32
+        assert peak < 1.1 * out.nbytes
 
     def test_param_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
