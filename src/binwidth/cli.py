@@ -12,7 +12,7 @@ import dataclasses
 import os
 import sys
 
-from .checkpoint import read_checkpoint, write_checkpoint, inherit_weights
+from .checkpoint import atomic_write_text, read_checkpoint, write_checkpoint, inherit_weights
 from .config import load_run_config
 from .cost import count_cost
 from .errors import BinwidthError, ConfigError, DivergenceError, FormatError, InputError, ShapeError
@@ -49,13 +49,13 @@ def _cmd_flops(args) -> int:
     print(f"flops_norm     {report.flops_norm:.4f}")
     print(f"speedup        {report.speedup:.2f}x")
     print(f"weight_bits    {report.weight_bits:,}")
+    header = "template,code,binary,flops,flops_norm,speedup,weight_bits"
     row = (f"{template.name},{'|'.join(str(r) for r in report.code)},{int(not args.full_precision)},"
            f"{report.flops:.1f},{report.flops_norm:.6f},{report.speedup:.4f},{report.weight_bits}")
-    print("csv template,code,binary,flops,flops_norm,speedup,weight_bits")
+    print(f"csv {header}")
     print(f"csv {row}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("template,code,binary,flops,flops_norm,speedup,weight_bits\n" + row + "\n")
+        atomic_write_text(args.out, f"{header}\n{row}\n")
     return 0
 
 
@@ -82,8 +82,8 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     supernet = read_checkpoint(args.inherit) if args.inherit else None
-    train_set = cfg.dataset.load_train()
-    test_set = cfg.dataset.load_test() if cfg.dataset.has_test() else None
+    train_set = cfg.dataset.load("train")
+    test_set = cfg.dataset.load("test") if cfg.dataset.has_test() else None
     out_path = os.path.join(args.out or cfg.output_dir, "model.ckpt")
     result = run_train(cfg.template, code, train_set, train_cfg, test_set=test_set,
                        supernet=supernet, out_path=out_path)
@@ -98,10 +98,10 @@ def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     ckpt = read_checkpoint(args.ckpt)
     template = get_template(ckpt.template)
+    dataset = cfg.dataset.load(args.split)
+    check_fits(template, dataset)
     net = instantiate(template, ckpt.code, seed=ckpt.seed)
     net.load_state_dict(ckpt.arrays)
-    dataset = cfg.dataset.load_train() if args.split == "train" else cfg.dataset.load_test()
-    check_fits(template, dataset)
     acc = accuracy(net, dataset)
     print(f"{args.split} top-1: {acc:.2f}%")
     return 0

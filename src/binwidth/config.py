@@ -26,13 +26,15 @@ from .space import read_json
 from .templates import TEMPLATES
 from .train import TrainConfig
 
-# Dataset kind -> the path fields of its train set and of its test set.
-_PATHS = {"idx": (("train_images", "train_labels"), ("test_images", "test_labels")), "records": (("train",), ("test",))}
+# Dataset kind -> split -> the path fields of that split's set.
+_PATHS = {"idx": {"train": ("train_images", "train_labels"), "test": ("test_images", "test_labels")},
+          "records": {"train": ("train",), "test": ("test",)}}
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Where the data lives and how the proxy splits are carved from it."""
+    """Where the data lives, read by `load(split)`, and how the proxy splits
+    are carved from it."""
 
     kind: str  # "idx" (image/label file pairs) or "records" (3073-byte records)
     train_images: str | None = None
@@ -49,14 +51,14 @@ class DatasetConfig:
         if self.kind not in _PATHS:
             raise ConfigError(f"dataset.kind must be 'idx' or 'records', got {self.kind!r}")
         for kind, sets in _PATHS.items():
-            for name in sum(sets, ()):
+            for name in sum(sets.values(), ()):
                 if kind != self.kind and getattr(self, name) is not None:
                     raise ConfigError(f"'dataset.{name}' is a path for dataset kind '{kind}', not '{self.kind}'")
 
-    def _load(self, split: str) -> Dataset:
-        """The train or test set, parsed from the files its path fields name."""
+    def load(self, split: str) -> Dataset:
+        """The "train" or "test" set, parsed from the files its path fields name."""
         contents = []
-        for name in _PATHS[self.kind][split == "test"]:
+        for name in _PATHS[self.kind][split]:
             path = getattr(self, name)
             if path is None:
                 raise ConfigError(f"dataset kind '{self.kind}' needs '{name}'")
@@ -66,19 +68,13 @@ class DatasetConfig:
                 contents.append(f.read())
         return (parse_mnist_idx if self.kind == "idx" else parse_cifar10_bin)(*contents, split=split)
 
-    def load_train(self) -> Dataset:
-        return self._load("train")
-
     def has_test(self) -> bool:
-        return getattr(self, _PATHS[self.kind][1][0]) is not None
-
-    def load_test(self) -> Dataset:
-        return self._load("test")
+        return getattr(self, _PATHS[self.kind]["test"][0]) is not None
 
     def proxy_splits(self) -> tuple[Dataset, Dataset]:
         """Disjoint stratified train/val pools for candidate scoring."""
         return stratified_split(
-            self.load_train(), self.proxy_train_per_class, self.proxy_val_per_class, self.subset_seed,
+            self.load("train"), self.proxy_train_per_class, self.proxy_val_per_class, self.subset_seed,
         )
 
 

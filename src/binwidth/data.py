@@ -126,27 +126,24 @@ def pack_cifar10_bin(pixels: np.ndarray, labels: np.ndarray) -> bytes:
     return records.tobytes()
 
 
-def _stratified(dataset: Dataset, sizes: tuple[int, ...], splits: tuple[str, ...], seed: int) -> list[Dataset]:
-    """Each class's samples in one seeded shuffle, cut into runs of `sizes`;
-    run k of every class, in class order, forms a Dataset of split `splits[k]`."""
-    need = sum(sizes)
-    runs = [[] for _ in sizes]
+def stratified_split(dataset: Dataset, per_class_a: int, per_class_b: int, seed: int) -> tuple[Dataset, Dataset]:
+    """Two disjoint stratified subsets from one pool (e.g. proxy train/val):
+    the first per_class_a and the next per_class_b of each class's seeded
+    shuffle, classes in order; the second subset's split is "val"."""
+    if per_class_a < 1 or per_class_b < 1:
+        raise InputError("both split sizes must be >= 1")
+    need = per_class_a + per_class_b
+    parts_a, parts_b = [], []
     for c in range(dataset.class_count):
         idx = np.flatnonzero(dataset.labels == c)
         if idx.size < need:
             raise InputError(f"class {c} has {idx.size} samples, need {need}")
         perm = idx[rng_from(seed, "class", c).permutation(idx.size)]
-        for run, part in zip(runs, np.split(perm[:need], np.cumsum(sizes)[:-1])):
-            run.append(part)
-    orders = [np.concatenate(run) for run in runs]
-    return [Dataset(dataset.images[o], dataset.labels[o], dataset.class_count, split) for o, split in zip(orders, splits)]
-
-
-def stratified_split(dataset: Dataset, per_class_a: int, per_class_b: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Two disjoint stratified subsets from one pool (e.g. proxy train/val)."""
-    if per_class_a < 1 or per_class_b < 1:
-        raise InputError("both split sizes must be >= 1")
-    return tuple(_stratified(dataset, (per_class_a, per_class_b), (dataset.split, "val"), seed))
+        parts_a.append(perm[:per_class_a])
+        parts_b.append(perm[per_class_a:need])
+    a, b = np.concatenate(parts_a), np.concatenate(parts_b)
+    return (Dataset(dataset.images[a], dataset.labels[a], dataset.class_count, dataset.split),
+            Dataset(dataset.images[b], dataset.labels[b], dataset.class_count, "val"))
 
 
 def _stats_for(channels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -82,13 +82,10 @@ class _ConvUnit(_WeightedUnit):
 
 
 class _FCUnit(_WeightedUnit):
-    def __init__(self, spec: LayerSpec, has_bias: bool):
-        super().__init__(spec)
-        self.bkey = spec.name + ".bias" if has_bias else None
-
     def _forward(self, net, x, train):
         w = self._weight(net)
-        b = net.params[self.bkey] if self.bkey else np.zeros(w.shape[1], dtype=w.dtype)
+        b = net.params.get(self.spec.name + ".bias")
+        b = np.zeros(w.shape[1], dtype=w.dtype) if b is None else b
         y, ctx = ops.fully_connected_forward(x.reshape(x.shape[0], -1) if x.ndim > 2 else x, w, b)
         return y, (x.shape, ctx)
 
@@ -96,8 +93,9 @@ class _FCUnit(_WeightedUnit):
         in_shape, ctx = ctx
         gx, gw, gb = ops.fully_connected_backward(ctx, g)
         self._store_weight_grad(net, gw)
-        if self.bkey:
-            net.grads[self.bkey] = gb
+        bkey = self.spec.name + ".bias"
+        if bkey in net.params:
+            net.grads[bkey] = gb
         return gx.reshape(in_shape)
 
 
@@ -141,17 +139,15 @@ class _GapUnit(_Unit):
         return ops.global_avg_pool_backward(ctx, g)
 
 
-_LAYER_UNITS = {"conv": _ConvUnit, "bn": _BNUnit, "act": _ActUnit, "pool": _PoolUnit, "gap": _GapUnit}
+_LAYER_UNITS = {"conv": _ConvUnit, "fc": _FCUnit, "bn": _BNUnit, "act": _ActUnit, "pool": _PoolUnit, "gap": _GapUnit}
 
 
-def _units(items, params: dict) -> list:
+def _units(items) -> list:
     """One unit per template item, in order; a block becomes one `_BlockUnit`."""
     units = []
     for item in items:
         if isinstance(item, BlockSpec):
-            units.append(_BlockUnit(item, _units(item.main, params), _units(item.shortcut, params)))
-        elif item.kind == "fc":
-            units.append(_FCUnit(item, item.name + ".bias" in params))
+            units.append(_BlockUnit(item, _units(item.main), _units(item.shortcut)))
         else:
             units.append(_LAYER_UNITS[item.kind](item))  # the template has checked every kind
     return units
@@ -207,7 +203,7 @@ class Network:
                     arr = np.full(shape, _FILL[field], dtype=np.float32)
                 store = self.buffers if field.startswith("running_") else self.params
                 store[f"{g.spec.name}.{field}"] = arr
-        self.units = _units(template.layers, self.params)
+        self.units = _units(template.layers)
         self._has_train_ctx = False  # the units hold the ctx of a train-mode forward
 
     @property

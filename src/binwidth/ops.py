@@ -20,8 +20,9 @@ Conventions
   matrix. Batch norm and the activation quantizer (`quant`) run over
   batch chunks the same way; batch norm keeps whole-array sums for an
   input of one chunk, of one channel, 2-D, or of another plane layout
-  (`_by_batch`). Eval-mode batch norm normalizes into its output and
-  allocates nothing else of the input's size.
+  (`_by_batch`). Eval-mode batch norm normalizes into its output,
+  allocates nothing else of the input's size and keeps no ctx: batch
+  norm's backward pass is for the train-mode map.
 * `_on_lanes` makes every chunk: each holds at most CHUNK_BYTES (one
   sample at least). An array that fits in one chunk
   runs in the calling thread; otherwise the chunk count is a multiple of
@@ -72,16 +73,16 @@ def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _pad_buffer(x: np.ndarray, size: int, pad: int) -> np.ndarray | None:
-    """One lane's buffer for `_padded`: zeros of shape [size, C, H+2p, W+2p],
-    or None when pad is 0."""
+def _pad_buffer(x: np.ndarray, size: int, pad: int, fill: float) -> np.ndarray | None:
+    """One lane's buffer for `_padded`: `fill` (0 for a conv, -inf for a
+    max-pool) in shape [size, C, H+2p, W+2p], or None when pad is 0."""
     _, c, h, w = x.shape
-    return np.zeros((size, c, h + 2 * pad, w + 2 * pad), x.dtype) if pad else None
+    return np.full((size, c, h + 2 * pad, w + 2 * pad), fill, x.dtype) if pad else None
 
 
 def _padded(x: np.ndarray, chunk: slice, pad: int, buf: np.ndarray | None) -> np.ndarray:
-    """x[chunk] with `pad` zeros around each plane: the chunk copied into the
-    interior of buf, whose border stays zero (x[chunk] itself when pad is 0)."""
+    """x[chunk] with `pad` fill values around each plane: the chunk copied into
+    the interior of buf, whose border keeps its fill (x[chunk] if pad is 0)."""
     if buf is None:
         return x[chunk]
     x_pad = buf[: chunk.stop - chunk.start]
@@ -238,7 +239,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0):
 
     patch = (cin * kh * kw, hout * wout)
     _on_lanes(run, n, math.prod(patch) * x.itemsize,
-              lambda size: (np.empty((size, *patch), x.dtype), _pad_buffer(x, size, pad)))
+              lambda size: (np.empty((size, *patch), x.dtype), _pad_buffer(x, size, pad, 0)))
     return out.reshape(n, cout, hout, wout), (x, w, stride, pad, hout, wout)
 
 
@@ -268,7 +269,7 @@ def conv2d_backward(ctx, gout: np.ndarray):
     patch = (cin * kh * kw, hout * wout)
     _on_lanes(run, n, math.prod(patch) * x.itemsize,
               lambda size: (np.empty((size, *patch), x.dtype), np.empty((size, *patch), np.result_type(w, go)),
-                            _pad_buffer(x, size, pad)))
+                            _pad_buffer(x, size, pad, 0)))
     gx = gx_pad[:, :, pad : pad + h, pad : pad + wid]
     return gx, parts.sum(axis=0).reshape(w.shape)
 
@@ -345,13 +346,6 @@ def _bn_reshape(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape(1, -1, 1, 1) if ndim == 4 else v.reshape(1, -1)
 
 
-def _centre_scale(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(x - mean) * scale into out, in train mode's centring and scaling steps."""
-    np.subtract(x, mean, out=out)
-    out *= scale
-    return out
-
-
 def batch_norm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -368,7 +362,7 @@ def batch_norm_forward(
     The statistics follow np.mean's and np.var's own steps, so they have
     their bits. Train mode keeps the normalized input xhat for the backward
     pass; eval mode builds it chunk by chunk in the output itself and keeps
-    x, from which the backward pass builds xhat again by the same steps.
+    no ctx (None), as a network keeps none from an eval-mode forward.
     """
     _, c, m = _bn_axes(x)
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean), ("running_var", running_var)):
@@ -399,25 +393,22 @@ def batch_norm_forward(
         if train:
             xhat[b] *= scale
             np.multiply(g, xhat[b], out=out[b])
-        else:
-            np.multiply(g, _centre_scale(x[b], mean, scale, out[b]), out=out[b])
+        else:  # train mode's centring and scaling steps, in out[b]
+            np.subtract(x[b], mean, out=out[b])
+            out[b] *= scale
+            np.multiply(g, out[b], out=out[b])
         out[b] += bias
 
     _by_batch(x, normalize)
-    return out.astype(x.dtype, copy=False), (xhat if train else (x, mean), gamma, inv_std, train, m)
+    return out.astype(x.dtype, copy=False), (xhat, gamma, inv_std, m) if train else None
 
 
 def batch_norm_backward(ctx, gout: np.ndarray):
-    """Gradients (gx, ggamma, gbeta) over batch chunks; exact for the
-    train-mode map."""
-    saved, gamma, inv_std, train, m = ctx
+    """Gradients (gx, ggamma, gbeta) of the train-mode map, over batch
+    chunks; ctx is a train-mode forward's."""
+    xhat, gamma, inv_std, m = ctx
     _bn_axes(gout)
     g, scale = _bn_reshape(gamma, gout.ndim), _bn_reshape(inv_std, gout.ndim)
-    if train:
-        xhat = saved
-    else:
-        x, mean = saved
-        xhat = _centre_scale(x, mean, scale, np.empty_like(x, np.result_type(g, x, mean)))
     gx = np.empty_like(gout, np.result_type(gout, g))  # d/dxhat, turned into d/dx in place
     tmp_dtype = np.result_type(gout, xhat)
 
@@ -425,24 +416,20 @@ def batch_norm_backward(ctx, gout: np.ndarray):
         put(0, np.multiply(gout[b], xhat[b], out=tmp))
         put(1, gout[b])
         np.multiply(gout[b], g, out=gx[b])
-        if train:
-            put(2, gx[b])
-            put(3, np.multiply(gx[b], xhat[b], out=tmp))
-        else:
-            gx[b] *= scale
+        put(2, gx[b])
+        put(3, np.multiply(gx[b], xhat[b], out=tmp))
 
-    sums = (tmp_dtype, gout.dtype) + ((gx.dtype, tmp_dtype) if train else ())
-    ggamma, gbeta, *train_sums = _by_batch(gout, grads, sums, tmp_dtype)
-    if train:
-        # d/dx of (x - mean)/sqrt(var + eps) with batch mean/var as functions of x
-        mean_g, proj = (_bn_reshape(total / m, gout.ndim) for total in train_sums)
+    sums = (tmp_dtype, gout.dtype, gx.dtype, tmp_dtype)
+    ggamma, gbeta, *totals = _by_batch(gout, grads, sums, tmp_dtype)
+    # d/dx of (x - mean)/sqrt(var + eps) with batch mean/var as functions of x
+    mean_g, proj = (_bn_reshape(total / m, gout.ndim) for total in totals)
 
-        def centre(b, put, tmp):
-            gx[b] -= mean_g
-            gx[b] -= np.multiply(xhat[b], proj, out=tmp)
-            gx[b] *= scale
+    def centre(b, put, tmp):
+        gx[b] -= mean_g
+        gx[b] -= np.multiply(xhat[b], proj, out=tmp)
+        gx[b] *= scale
 
-        _by_batch(gout, centre, (), tmp_dtype)
+    _by_batch(gout, centre, (), tmp_dtype)
     return gx.astype(gout.dtype, copy=False), ggamma, gbeta
 
 
@@ -461,14 +448,10 @@ def max_pool2d_forward(x: np.ndarray, k: int, stride: int, pad: int = 0):
     """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects 4-D input, got {x.shape}")
-    n, c, h, w = x.shape
+    n, _, h, w = x.shape
     hout = _out_size(h, k, stride, pad)
     wout = _out_size(w, k, stride, pad)
-    if pad > 0:
-        x_eff = np.full((n, c, h + 2 * pad, w + 2 * pad), -np.inf, dtype=x.dtype)
-        x_eff[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        x_eff = x
+    x_eff = _padded(x, slice(0, n), pad, _pad_buffer(x, n, pad, -np.inf))
     views = _pool_views(x_eff, k, stride, hout, wout)
     out = views[0].copy()
     for view in views[1:]:

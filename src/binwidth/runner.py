@@ -78,8 +78,7 @@ def check_fits(template: NetworkTemplate, *datasets: Dataset | None) -> None:
                              f"but the data holds {data.images.shape[1:]}")
 
 
-def _train_supernet(cfg: RunConfig, proxy_train: Dataset, path: str) -> Checkpoint:
-    template = get_template(cfg.template)
+def _train_supernet(cfg: RunConfig, template: NetworkTemplate, proxy_train: Dataset, path: str) -> Checkpoint:
     code = uniform_code(4, template.n_genes)
     seed = derive_seed(cfg.search.master_seed, "supernet")
     net = instantiate(template, code, seed=seed)
@@ -106,7 +105,7 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
             echo(f"loaded supernet from {supernet_path}")
         else:
             echo(f"pre-training 4x supernet for {cfg.full_train.epochs} epochs")
-            supernet = _train_supernet(cfg, proxy_train, supernet_path)
+            supernet = _train_supernet(cfg, template, proxy_train, supernet_path)
 
     log_path = os.path.join(cfg.output_dir, LOG_NAME)
     prior = []

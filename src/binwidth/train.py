@@ -12,6 +12,8 @@ from .net import Network
 from .ops import softmax_cross_entropy
 from .seeding import derive_seed
 
+EVAL_BATCH_SIZE = 256
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -119,10 +121,10 @@ def train_network(net: Network, train_set: Dataset, config: TrainConfig) -> list
     return history
 
 
-def accuracy(net: Network, dataset: Dataset, batch_size: int = 256) -> float:
+def accuracy(net: Network, dataset: Dataset) -> float:
     """Top-1 accuracy in percent, eval mode, unshuffled and unaugmented."""
     correct = 0
-    for images, labels in make_batches(dataset, batch_size, seed=0, augment=False, shuffle=False):
+    for images, labels in make_batches(dataset, EVAL_BATCH_SIZE, seed=0, augment=False, shuffle=False):
         logits = net.forward(images, train=False)
         correct += int((logits.argmax(axis=1) == labels).sum())
     return 100.0 * correct / dataset.images.shape[0]

@@ -139,7 +139,8 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, train, gout,
     """Batch norm through `np.mean`/`np.var`, one expression per step.
 
     The bitwise oracle for `ops.batch_norm_forward/backward`: returns
-    (out, gx, ggamma, gbeta) and updates the running stats in place.
+    (out, gx, ggamma, gbeta) in train mode, (out,) in eval mode, which has
+    no backward pass, and updates the running stats in place.
     """
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     m = x.size // x.shape[1]
@@ -155,12 +156,11 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, train, gout,
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - r(mean)) * r(inv_std)
     out = (r(gamma) * xhat + r(beta)).astype(x.dtype, copy=False)
+    if not train:
+        return (out,)
     ggamma, gbeta = (gout * xhat).sum(axis=axes), gout.sum(axis=axes)
     gxhat = gout * r(gamma)
-    if train:
-        gx = (gxhat - r(gxhat.sum(axis=axes) / m) - xhat * r((gxhat * xhat).sum(axis=axes) / m)) * r(inv_std)
-    else:
-        gx = gxhat * r(inv_std)
+    gx = (gxhat - r(gxhat.sum(axis=axes) / m) - xhat * r((gxhat * xhat).sum(axis=axes) / m)) * r(inv_std)
     return out, gx.astype(gout.dtype, copy=False), ggamma, gbeta
 
 

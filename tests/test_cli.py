@@ -70,11 +70,12 @@ class TestFlops:
         assert "0.5 1.0 2.0 1.0" in capsys.readouterr().out
 
     def test_out_file_holds_csv(self, tmp_path, capsys):
-        out = str(tmp_path / "cost.csv")
-        cli.main(["flops", "--template", "resnet_mini", "--uniform", "2", "--out", out])
-        lines = open(out).read().splitlines()
+        out = tmp_path / "cost.csv"
+        cli.main(["flops", "--template", "resnet_mini", "--uniform", "2", "--out", str(out)])
+        lines = out.read_text().splitlines()
         assert lines[0].startswith("template,code,binary")
         assert lines[1].startswith("resnet_mini,2")
+        assert os.listdir(tmp_path) == ["cost.csv"]  # no temp file left behind
 
     def test_full_precision_flag(self, capsys):
         cli.main(["flops", "--template", "vgg_small_mini", "--uniform", "1", "--full-precision"])
@@ -143,9 +144,9 @@ class TestSearch:
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)
-        other = str(tmp_path / "elsewhere")
-        assert cli.main(["search", "--config", cfg_path, "--out", other, "--seed", "42"]) == 0
-        records = [json.loads(l) for l in open(os.path.join(other, "search_log.jsonl"))]
+        other = tmp_path / "elsewhere"
+        assert cli.main(["search", "--config", cfg_path, "--out", str(other), "--seed", "42"]) == 0
+        records = [json.loads(l) for l in (other / "search_log.jsonl").read_text().splitlines()]
         from binwidth.seeding import derive_seed
 
         assert records[0]["eval_seed"] == derive_seed(42, "eval", 0, 0)
@@ -258,12 +259,14 @@ class TestTemplateMustFitData:
         assert cli.main(["train", "--config", cfg_path, "--uniform", "1", "--epochs", "1"]) == 2
         assert self.MESSAGE in capsys.readouterr().err
 
-    def test_eval_refuses(self, tmp_path, capsys):
+    def test_eval_refuses(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path)
         code = space.uniform_code(1, 6)
         ckpt_path = str(tmp_path / "resnet.ckpt")
         network = instantiate(templates.resnet_mini(), code, seed=0)
         write_checkpoint(ckpt_path, Checkpoint(network.state_dict(), "resnet_mini", code, 0))
+        # The data are checked before any work on the network.
+        monkeypatch.setattr(cli, "instantiate", lambda *args, **kwargs: pytest.fail("network built first"))
         assert cli.main(["eval", "--config", cfg_path, "--ckpt", ckpt_path]) == 2
         assert self.MESSAGE in capsys.readouterr().err
 
@@ -361,26 +364,23 @@ class TestReportVerb:
 
 class TestSynthVerb:
     def test_idx_files_parse(self, tmp_path, capsys):
-        d = str(tmp_path / "mk")
-        assert cli.main(["synth", "--kind", "idx", "--dir", d, "--train-per-class", "3",
+        d = tmp_path / "mk"
+        assert cli.main(["synth", "--kind", "idx", "--dir", str(d), "--train-per-class", "3",
                          "--test-per-class", "2", "--seed", "1"]) == 0
         from binwidth.data import parse_mnist_idx
 
         out = capsys.readouterr().out
         assert "train_images" in out
-        train = parse_mnist_idx(
-            open(os.path.join(d, "train-images.idx"), "rb").read(),
-            open(os.path.join(d, "train-labels.idx"), "rb").read(),
-        )
+        train = parse_mnist_idx((d / "train-images.idx").read_bytes(), (d / "train-labels.idx").read_bytes())
         assert len(train) == 30
 
     def test_records_files_parse(self, tmp_path):
-        d = str(tmp_path / "mk")
-        assert cli.main(["synth", "--kind", "records", "--dir", d, "--train-per-class", "2",
+        d = tmp_path / "mk"
+        assert cli.main(["synth", "--kind", "records", "--dir", str(d), "--train-per-class", "2",
                          "--test-per-class", "1"]) == 0
         from binwidth.data import parse_cifar10_bin
 
-        test = parse_cifar10_bin(open(os.path.join(d, "test.bin"), "rb").read())
+        test = parse_cifar10_bin((d / "test.bin").read_bytes())
         assert len(test) == 10
 
 

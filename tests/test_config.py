@@ -218,7 +218,7 @@ class TestDatasetConfig:
     def test_idx_loading_and_splits(self, tmp_path):
         paths = write_data(tmp_path, train_per_class=8)
         cfg = cm.parse_run_config(minimal_payload(paths)).dataset
-        train = cfg.load_train()
+        train = cfg.load("train")
         assert len(train) == 80
         assert cfg.has_test()
         proxy_train, proxy_val = cfg.proxy_splits()
@@ -229,10 +229,10 @@ class TestDatasetConfig:
     def test_records_loading(self, tmp_path):
         paths = write_data(tmp_path, kind="records", train_per_class=6)
         cfg = cm.parse_run_config(minimal_payload(paths, kind="records")).dataset
-        train = cfg.load_train()
+        train = cfg.load("train")
         assert len(train) == 60
         assert train.images.shape[1:] == (3, 32, 32)
-        assert cfg.load_test().split == "test"
+        assert cfg.load("test").split == "test"
 
     def test_missing_path_for_kind(self, tmp_path):
         paths = write_data(tmp_path)
@@ -240,7 +240,7 @@ class TestDatasetConfig:
         payload["dataset"].pop("train_labels")
         cfg = cm.parse_run_config(payload).dataset
         with pytest.raises(ConfigError) as e:
-            cfg.load_train()
+            cfg.load("train")
         assert "train_labels" in str(e.value)
 
     def test_nonexistent_file_reported(self, tmp_path):
@@ -249,5 +249,5 @@ class TestDatasetConfig:
         payload["dataset"]["train_images"] = str(tmp_path / "gone.idx")
         cfg = cm.parse_run_config(payload).dataset
         with pytest.raises(ConfigError) as e:
-            cfg.load_train()
+            cfg.load("train")
         assert "gone.idx" in str(e.value)

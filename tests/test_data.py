@@ -199,6 +199,22 @@ class TestStratified:
             dm.stratified_split(d, per_class_a=4, per_class_b=1, seed=0)
         assert "class 0 has 2 samples, need 5" in str(e.value)
 
+    def test_split_keeps_its_samples(self, tmp_path):
+        # The golden run's train file and split sizes, then classes of 12 down to 3 samples.
+        synth.write_gray_files(str(tmp_path), 8, 2, 0)
+        even = dm.parse_mnist_idx(*((tmp_path / f"train-{part}.idx").read_bytes() for part in ("images", "labels")))
+        images, labels = synth.synth_gray_images(12, 3)
+        keep = np.sort(np.concatenate([np.flatnonzero(labels == c)[c:] for c in range(10)]))
+        uneven = dm.Dataset(images[keep], labels[keep], class_count=10)
+        got = [hashlib.sha256(s.images.tobytes() + s.labels.tobytes()).hexdigest()
+               for d, a, b, seed in ((even, 5, 2, 0), (uneven, 2, 1, 7)) for s in dm.stratified_split(d, a, b, seed)]
+        assert got == [
+            "078a60ca23f29b3697fbe0164e00d84d9a0dcef72ec485f9f559f9349ffa4595",
+            "608a3532edfcdff79bddb63ce66c67a12d07b0ee393631cb01b00fe8b7a6a59f",
+            "ed76b73689e814b274b5416a7b0435abec99fa4ecda5c7b4c808c38ccc791169",
+            "e5ba47c11f8fcf064662a727890e9010d42ae6a9c423cac467a4f62ed76eb08a",
+        ]
+
 
 class TestBatching:
     def test_batch_sizes_with_remainder(self):

@@ -74,7 +74,8 @@ class TestRunSearch:
     def test_summary_file_matches_return(self, tmp_path):
         cfg = run_config(tmp_path)
         summary = runner.run_search(cfg)
-        on_disk = json.loads(open(os.path.join(cfg.output_dir, runner.SUMMARY_NAME)).read())
+        with open(os.path.join(cfg.output_dir, runner.SUMMARY_NAME)) as f:
+            on_disk = json.load(f)
         assert on_disk == json.loads(json.dumps(summary))
 
     def test_finished_run_is_a_reproducing_no_op(self, tmp_path):
@@ -189,8 +190,8 @@ class TestRunSearch:
 class TestRunTrain:
     def test_returns_metrics_and_checkpoint(self, tmp_path):
         cfg = run_config(tmp_path)
-        train_set = cfg.dataset.load_train()
-        test_set = cfg.dataset.load_test()
+        train_set = cfg.dataset.load("train")
+        test_set = cfg.dataset.load("test")
         out = str(tmp_path / "model.ckpt")
         sched = train.LrSchedule(base_lr=0.05)
         result = runner.run_train(
@@ -208,7 +209,7 @@ class TestRunTrain:
     def test_no_test_set_reports_none(self, tmp_path):
         cfg = run_config(tmp_path)
         result = runner.run_train(
-            "vgg_small_mini", space.uniform_code(1, 4), cfg.dataset.load_train(),
+            "vgg_small_mini", space.uniform_code(1, 4), cfg.dataset.load("train"),
             train.TrainConfig(epochs=0),
         )
         assert result["test_acc"] is None
