@@ -51,8 +51,9 @@ class _Metadata(CodeFile):
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via a same-directory temp file and rename, so readers never
-    observe a partial file."""
+    observe a partial file; makes the directory first, so callers do not."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:

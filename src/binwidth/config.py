@@ -69,7 +69,7 @@ class DatasetConfig:
         return (parse_mnist_idx if self.kind == "idx" else parse_cifar10_bin)(*contents, split=split)
 
     def has_test(self) -> bool:
-        return getattr(self, _PATHS[self.kind]["test"][0]) is not None
+        return any(getattr(self, name) is not None for name in _PATHS[self.kind]["test"])
 
     def proxy_splits(self) -> tuple[Dataset, Dataset]:
         """Disjoint stratified train/val pools for candidate scoring."""

@@ -32,7 +32,7 @@ AUGMENT_PAD = 4
 
 @dataclass
 class Dataset:
-    """Images in [0,1], NCHW float32; treat as immutable after construction."""
+    """Images in [0,1], NCHW float32, in read-only views that leave the caller's arrays writable."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -40,8 +40,8 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.images = np.asarray(self.images, dtype=np.float32).view()
+        self.labels = np.asarray(self.labels, dtype=np.int64).view()
         if self.images.ndim != 4:
             raise InputError(f"images must be [N,C,H,W], got {self.images.shape}")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.images.shape[0]:

@@ -19,7 +19,7 @@ Conventions
   which the backward pass pads each chunk again and rebuilds its patch
   matrix. Batch norm and the activation quantizer (`quant`) run over
   batch chunks the same way; batch norm keeps whole-array sums for an
-  input of one chunk, of one channel, 2-D, or of another plane layout
+  input of one chunk, of one channel, 2-D, or not C-contiguous
   (`_by_batch`). Eval-mode batch norm normalizes into its output,
   allocates nothing else of the input's size and keeps no ctx: batch
   norm's backward pass is for the train-mode map.
@@ -105,13 +105,18 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: i
     return cols
 
 
+def _windows(a: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> list[np.ndarray]:
+    """The kh*kw strided [N,C,hout,wout] views of a, window offsets in row-major order."""
+    return [a[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride]
+            for i in range(kh) for j in range(kw)]
+
+
 def _col2im_add(cols: np.ndarray, gx_pad: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> None:
     """Scatter-add the inverse of `_im2col` into gx_pad, window offsets in row-major order."""
     n, c = gx_pad.shape[:2]
-    cols = cols.reshape(n, c, kh, kw, hout, wout)
-    for i in range(kh):
-        for j in range(kw):
-            gx_pad[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, :, i, j]
+    cols = cols.reshape(n, c, kh * kw, hout, wout)
+    for t, view in enumerate(_windows(gx_pad, kh, kw, stride, hout, wout)):
+        view += cols[:, :, t]
 
 
 # Lanes a kernel runs its chunks on; None is one per CPU in the affinity
@@ -311,19 +316,16 @@ def _by_batch(x: np.ndarray, work, sums=(), scratch=None) -> list[np.ndarray]:
     but the channel's. tmp is a scratch array like x[b] of dtype `scratch`,
     or None.
 
-    A 4-D x of more than one chunk (CHUNK_BYTES) and two channels or more,
-    whose (sample, channel) planes are contiguous or each one broadcast
-    value (as global_avg_pool_backward returns), runs on lanes: put writes
-    a's per-(sample, channel) sums into an [N, C] array, which this thread
-    reduces with `sum(axis=0)`, adding them as the whole-array
-    `sum(axis=(0, 2, 3))` does. Any other x runs in one call on the whole
-    batch, with whole-array sums: numpy sums a 2-D or one-channel x
-    pairwise over the whole block, and other plane layouts in another
-    order.
+    A C-contiguous 4-D x of more than one chunk (CHUNK_BYTES) and two
+    channels or more runs on lanes: put writes a's per-(sample, channel)
+    sums into an [N, C] array, which this thread reduces with
+    `sum(axis=0)`, adding them as the whole-array `sum(axis=(0, 2, 3))`
+    does. Any other x runs in one call on the whole batch, with
+    whole-array sums: numpy sums a 2-D or one-channel x pairwise over the
+    whole block, and other layouts in another order.
     """
     n, c = x.shape[:2]
-    split = x.ndim == 4 and c > 1 and x.nbytes > CHUNK_BYTES
-    if not (split and (x.flags.c_contiguous or x.strides == (c * x.itemsize, x.itemsize, 0, 0))):
+    if not (x.ndim == 4 and c > 1 and x.nbytes > CHUNK_BYTES and x.flags.c_contiguous):
         out = [None] * len(sums)
         axes = _bn_axes(x)[0]
 
@@ -433,12 +435,6 @@ def batch_norm_backward(ctx, gout: np.ndarray):
     return gx.astype(gout.dtype, copy=False), ggamma, gbeta
 
 
-def _pool_views(x_pad: np.ndarray, k: int, stride: int, hout: int, wout: int) -> list:
-    """The k*k strided [N,C,hout,wout] views of x_pad, window offsets in row-major order."""
-    return [x_pad[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride]
-            for i in range(k) for j in range(k)]
-
-
 def max_pool2d_forward(x: np.ndarray, k: int, stride: int, pad: int = 0):
     """Max over k*k windows, as a running maximum over the k*k window offsets.
 
@@ -452,7 +448,7 @@ def max_pool2d_forward(x: np.ndarray, k: int, stride: int, pad: int = 0):
     hout = _out_size(h, k, stride, pad)
     wout = _out_size(w, k, stride, pad)
     x_eff = _padded(x, slice(0, n), pad, _pad_buffer(x, n, pad, -np.inf))
-    views = _pool_views(x_eff, k, stride, hout, wout)
+    views = _windows(x_eff, k, k, stride, hout, wout)
     out = views[0].copy()
     for view in views[1:]:
         np.maximum(view, out, out=out)  # an equal value keeps the earlier one (its sign of zero)
@@ -466,12 +462,12 @@ def max_pool2d_backward(ctx, gout: np.ndarray) -> np.ndarray:
     gx_pad = np.zeros(x_eff.shape, dtype=gout.dtype)
     free = np.ones(out.shape, dtype=bool)  # windows whose first maximum is still unseen
     hits = []
-    for view in _pool_views(x_eff, k, stride, hout, wout):
+    for view in _windows(x_eff, k, k, stride, hout, wout):
         hits.append((view == out) & free)
         free ^= hits[-1]
     # Offsets in reverse row-major order add the windows that overlap on an
     # input in row-major window order, the summation order the tests pin.
-    for gview, hit in zip(_pool_views(gx_pad, k, stride, hout, wout)[::-1], hits[::-1]):
+    for gview, hit in zip(_windows(gx_pad, k, k, stride, hout, wout)[::-1], hits[::-1]):
         gview += gout * hit
     return gx_pad[:, :, pad : gx_pad.shape[2] - pad, pad : gx_pad.shape[3] - pad]
 

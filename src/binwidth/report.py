@@ -78,7 +78,6 @@ def flops_csv(template: NetworkTemplate, code) -> str:
 def write_run_report(run_dir: str, out_dir: str | None = None) -> dict[str, str]:
     """Emit fitness.csv, channels.csv, flops.csv for a finished search run."""
     out_dir = out_dir or run_dir
-    os.makedirs(out_dir, exist_ok=True)
     template_name, code = read_code_file(os.path.join(run_dir, BEST_CODE_NAME))
     template = get_template(template_name)
     records = read_search_log(os.path.join(run_dir, LOG_NAME))

@@ -91,7 +91,6 @@ def _train_supernet(cfg: RunConfig, template: NetworkTemplate, proxy_train: Data
 
 def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
     """Execute (or resume) the search described by cfg; returns the summary."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     template = get_template(cfg.template)
     proxy_train, proxy_val = cfg.dataset.proxy_splits()
     check_fits(template, proxy_train)
@@ -120,6 +119,7 @@ def run_search(cfg: RunConfig, echo=lambda line: None) -> dict:
         template, proxy_train, proxy_val, cfg.search,
         train_config=cfg.proxy_train, supernet=supernet,
     )
+    os.makedirs(cfg.output_dir, exist_ok=True)  # the log is the one file not written atomically
     with open(log_path, "a", encoding="utf-8") as log_file:
 
         def sink(record: SearchLogRecord) -> None:
@@ -160,7 +160,7 @@ def run_train(
     out_path: str | None = None,
 ) -> dict:
     """Train (template, code) from scratch or from an inherited supernet;
-    with out_path, write the checkpoint there, making its directory."""
+    with out_path, write the checkpoint there."""
     template = get_template(template_name)
     check_fits(template, train_set, test_set)
     net = instantiate(template, code, seed=train_cfg.seed)
@@ -174,7 +174,6 @@ def run_train(
     }
     ckpt = Checkpoint(net.state_dict(), template.name, net.code, train_cfg.seed)
     if out_path is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         write_checkpoint(out_path, ckpt)
         result["checkpoint"] = out_path
     result["network"] = net

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .checkpoint import atomic_write_bytes
 from .data import pack_cifar10_bin, pack_mnist_idx
 from .errors import InputError
 from .seeding import derive_seed, rng_from
@@ -96,12 +97,10 @@ def _write_files(directory: str, keys: tuple[str, ...], suffix: str, blobs, trai
                  test_per_class: int, seed: int) -> dict[str, str]:
     """The train set's then the test set's `blobs(per_class, seed)`, one
     file per key, named after it; returns the paths by key."""
-    os.makedirs(directory, exist_ok=True)
     paths = {key: os.path.join(directory, key.replace("_", "-") + suffix) for key in keys}
     data = blobs(train_per_class, derive_seed(seed, "train")) + blobs(test_per_class, derive_seed(seed, "test"))
     for path, blob in zip(paths.values(), data):
-        with open(path, "wb") as f:
-            f.write(blob)
+        atomic_write_bytes(path, blob)
     return paths
 
 

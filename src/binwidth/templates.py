@@ -86,14 +86,16 @@ class GeometryPlan:
     precision rule, and keeps what no code changes.
 
     `entries` holds every executed layer in walk order as (spec, in
-    source, out source, h_out, w_out, fc input extent, fc bias flag);
-    `weighted` every conv/fc entry as (spec, in source, out source,
-    weights per in/out channel pair, output positions). A source indexes
-    the vector `channels` returns: gene widths by gene index, then the
-    `fixed` counts by negative index: the image channels at -1 and each
-    ungened fc's width, in walk order, at -2, -3, ...; the final fc's, the
-    class count, is `fixed[0]`. `ties` lists, in walk order, each block
-    whose two branch ends are sources that can differ, as (block, the
+    source, out source, h_out, w_out, weights per in/out channel pair,
+    fc bias flag): k*k weights per pair for a conv, the flattened input
+    extent for an fc, 0 for any other kind. `weighted` is derived from it
+    after the walk: every conv/fc entry as (spec, in source, out source,
+    weights per pair, output positions). A source indexes the vector
+    `channels` returns: gene widths by gene index, then the `fixed`
+    counts by negative index: the image channels at -1 and each ungened
+    fc's width, in walk order, at -2, -3, ...; the final fc's, the class
+    count, is `fixed[0]`. `ties` lists, in walk order, each block whose
+    two branch ends are sources that can differ, as (block, the
     shortcut's last layer or None, shortcut source, main-path source).
     """
 
@@ -104,11 +106,11 @@ class GeometryPlan:
         if len(shape) != 3 or any(type(n) is not int or n < 1 for n in shape):
             raise InputError(f"template '{name}' input shape {shape} is not three positive integers")
         self.entries: list[tuple] = []
-        self.weighted: list[tuple] = []
         self.ties: list[tuple[str, str | None, int, int]] = []
         self.fixed = [shape[0]]
         genes: dict[int, LayerSpec] = {}
         self._walk(template.layers, genes, -1, *shape[1:])
+        self.weighted = [(spec, i, o, pair, h * w) for spec, i, o, h, w, pair, _ in self.entries if pair]
         names = [entry[0].name for entry in self.entries]
         if len(set(names)) != len(names):
             raise InputError(f"template '{name}' names two layers '{next(n for n in names if names.count(n) > 1)}'")
@@ -181,12 +183,10 @@ class GeometryPlan:
                     raise InputError(f"kernel {k} exceeds padded extent {min(h, w) + 2 * pad}")
                 h, w = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
             if spec.kind == "conv":
-                self.entries.append((spec, cin, c, h, w, 0, False))
-                self.weighted.append((spec, cin, c, k * k, h * w))
+                self.entries.append((spec, cin, c, h, w, k * k, False))
             elif spec.kind == "fc":
                 bias = i + 1 == len(items) or getattr(items[i + 1], "kind", None) != "bn"
                 self.entries.append((spec, cin, c, 1, 1, h * w, bias))
-                self.weighted.append((spec, cin, c, h * w, 1))
                 h = w = 1
                 flat = True
             else:
@@ -215,12 +215,12 @@ class GeometryPlan:
         """Every entry's `LayerGeom`, for a validated code."""
         counts = self.channels(code)
         geoms = []
-        for spec, i, o, h, w, extent, bias in self.entries:
+        for spec, i, o, h, w, pair, bias in self.entries:
             cin, c = counts[i], counts[o]
             if spec.kind == "conv":
                 shapes = {"weight": (c, cin, spec.kernel, spec.kernel)}
             elif spec.kind == "fc":
-                shapes = {"weight": (cin * extent, c), "bias": (c,)} if bias else {"weight": (cin * extent, c)}
+                shapes = {"weight": (cin * pair, c), "bias": (c,)} if bias else {"weight": (cin * pair, c)}
             elif spec.kind == "bn":
                 shapes = {"gamma": (c,), "beta": (c,), "running_mean": (c,), "running_var": (c,)}
             else:

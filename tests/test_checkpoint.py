@@ -1,7 +1,10 @@
 """Checkpoint binary format and supernet weight inheritance."""
 
+import ast
 import dataclasses
 import json
+import os
+import pathlib
 import struct
 
 import numpy as np
@@ -180,6 +183,39 @@ class TestAtomicWrites:
         target.write_text("old")
         ck.atomic_write_text(str(target), "new")
         assert target.read_text() == "new"
+
+    def test_makes_the_directory(self, tmp_path):
+        target = tmp_path / "a" / "b" / "out.bin"
+        ck.atomic_write_bytes(str(target), b"hello")
+        assert target.read_bytes() == b"hello"
+        assert os.listdir(target.parent) == ["out.bin"]
+
+    def test_package_writes_files_only_through_it(self):
+        """Builtin open() in the package reads ("rb"), except the search
+        log's append and its torn-tail truncation; every other file is
+        written by atomic_write_bytes, the one caller of os.fdopen."""
+        allowed = {("runner.py", "run_search", "'a'"), ("runner.py", "_drop_torn_tail", "'rb+'"),
+                   ("checkpoint.py", "atomic_write_bytes", "fdopen")}
+        found = set()
+
+        def visit(node, path, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, path, child.name)
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    if isinstance(func, ast.Name) and func.id == "open":
+                        mode = child.args[1] if len(child.args) > 1 else next(
+                            (k.value for k in child.keywords if k.arg == "mode"), None)
+                        found.add((path.name, function, "'r'" if mode is None else ast.unparse(mode)))
+                    elif isinstance(func, ast.Attribute) and func.attr in ("fdopen", "write_bytes", "write_text"):
+                        found.add((path.name, function, func.attr))
+                visit(child, path, function)
+
+        for path in sorted(pathlib.Path(ck.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+        assert {site for site in found if site[2] != "'rb'"} == allowed
 
 
 def supernet_for(template_name, seed=21):

@@ -77,6 +77,12 @@ class TestFlops:
         assert lines[1].startswith("resnet_mini,2")
         assert os.listdir(tmp_path) == ["cost.csv"]  # no temp file left behind
 
+    def test_out_makes_its_directory(self, tmp_path):
+        out = tmp_path / "new" / "cost.csv"
+        assert cli.main(["flops", "--template", "resnet_mini", "--uniform", "2", "--out", str(out)]) == 0
+        assert out.read_text().startswith("template,code,binary")
+        assert os.listdir(out.parent) == ["cost.csv"]
+
     def test_full_precision_flag(self, capsys):
         cli.main(["flops", "--template", "vgg_small_mini", "--uniform", "1", "--full-precision"])
         out = capsys.readouterr().out
@@ -151,6 +157,13 @@ class TestSearch:
 
         assert records[0]["eval_seed"] == derive_seed(42, "eval", 0, 0)
 
+    def test_missing_dataset_file_leaves_no_output_dir(self, tmp_path, capsys):
+        gone = tmp_path / "gone.idx"
+        cfg_path = write_config(tmp_path, dataset={"train_images": str(gone)})
+        assert cli.main(["search", "--config", cfg_path]) == 2
+        assert f"config error: dataset file '{gone}' (train_images) does not exist" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
     def test_missing_config_is_config_error(self, capsys):
         assert cli.main(["search", "--config", "/no/such.json"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -200,6 +213,13 @@ class TestTrain:
         expect = inherit_weights(sup, t, space.uniform_code(1, 4))
         for k in expect.arrays:
             np.testing.assert_array_equal(ckpt.arrays[k], expect.arrays[k], err_msg=k)
+
+    @pytest.mark.parametrize("missing", ["test_images", "test_labels"])
+    def test_half_a_test_pair_is_config_error_naming_the_missing_path(self, tmp_path, capsys, missing):
+        cfg_path = write_config(tmp_path, dataset={missing: None})
+        assert cli.main(["train", "--config", cfg_path, "--uniform", "1", "--epochs", "0"]) == 2
+        assert f"config error: dataset kind 'idx' needs '{missing}'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
 
 
 class TestEvalVerb:
@@ -252,7 +272,7 @@ class TestTemplateMustFitData:
         cfg_path = write_config(tmp_path, template="resnet_mini", supernet_init=True)
         assert cli.main(["search", "--config", cfg_path]) == 2
         assert self.MESSAGE in capsys.readouterr().err
-        assert os.listdir(tmp_path / "run") == []  # no supernet, no log
+        assert not os.path.exists(tmp_path / "run")  # no supernet, no log, no directory
 
     def test_train_refuses(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, template="resnet_mini")
@@ -317,6 +337,13 @@ class TestInherit:
         for k in expect.arrays:
             np.testing.assert_array_equal(child.arrays[k], expect.arrays[k], err_msg=k)
 
+    def test_out_makes_its_directory(self, tmp_path):
+        out_path = tmp_path / "new" / "child.ckpt"
+        assert cli.main(["inherit", "--supernet", supernet_ckpt(tmp_path), "--uniform", "1",
+                         "--out", str(out_path)]) == 0
+        assert read_checkpoint(str(out_path)).code == space.uniform_code(1, 4)
+        assert os.listdir(out_path.parent) == ["child.ckpt"]
+
     def test_identity_slice_round_trips_bytes(self, tmp_path):
         from binwidth.checkpoint import serialize_checkpoint
 
@@ -357,9 +384,12 @@ class TestReportVerb:
         assert cli.main(["report", "--run", str(tmp_path)]) == 3
         assert f"format error: {log_path}:2: not valid JSON: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
-    def test_missing_run_dir_is_io_error(self, capsys):
-        assert cli.main(["report", "--run", "/no/such/dir"]) == 1
-        assert "io error" in capsys.readouterr().err
+    def test_missing_run_dir_is_io_error(self, tmp_path, capsys):
+        run = str(tmp_path / "no" / "run")
+        for out in ([], ["--out", str(tmp_path / "rep")]):
+            assert cli.main(["report", "--run", run, *out]) == 1
+            assert "io error" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == []  # neither the run directory nor --out
 
 
 class TestSynthVerb:

@@ -48,6 +48,16 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             d.images[0, 0, 0, 0] = 0
 
+    def test_callers_arrays_stay_writable(self):
+        images, labels = np.zeros((2, 1, 4, 4), np.float32), np.array([0, 1], np.int64)
+        d = dm.Dataset(images, labels, class_count=2)
+        for frozen in (d.images, d.labels):
+            with pytest.raises(ValueError):
+                frozen[0] = 1
+        images[0] = 1.0
+        labels[0] = 1
+        assert d.images[0].min() == 1.0 and d.labels[0] == 1  # views of the caller's arrays, not copies
+
 
 class TestIdxFormat:
     def test_round_trip_byte_identical(self):
