@@ -21,7 +21,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +49,15 @@ class _Metadata(CodeFile):
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a same-directory temp file and rename, so readers never
-    observe a partial file; makes the directory first, so callers do not."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write via the same-directory temp file `.tmp-<name>` and rename, so
+    readers never observe a partial file; makes the directory first, so
+    callers do not. The temp name is fixed per target, so a temp file that
+    a killed write left is truncated and replaced by the next write of the
+    same target; the open refuses a symlink planted at that name."""
+    directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, ".tmp-" + name)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0), 0o600)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -18,11 +18,11 @@ Conventions
   padded copy of the batch is made either. Its ctx holds the input, from
   which the backward pass pads each chunk again and rebuilds its patch
   matrix. Batch norm and the activation quantizer (`quant`) run over
-  batch chunks the same way; batch norm keeps whole-array sums for an
-  input of one chunk, of one channel, 2-D, or not C-contiguous
-  (`_by_batch`). Eval-mode batch norm normalizes into its output,
-  allocates nothing else of the input's size and keeps no ctx: batch
-  norm's backward pass is for the train-mode map.
+  batch chunks the same way. Batch norm runs [N, D] features as
+  [N, D, 1, 1] planes and keeps whole-array sums only for an input of one
+  chunk, of one channel, or not C-contiguous (`_by_batch`). Eval-mode
+  batch norm normalizes into its output, allocates nothing else of the
+  input's size and keeps no ctx: its backward pass is for the train-mode map.
 * `_on_lanes` makes every chunk: each holds at most CHUNK_BYTES (one
   sample at least). An array that fits in one chunk
   runs in the calling thread; otherwise the chunk count is a multiple of
@@ -298,13 +298,13 @@ def fully_connected_backward(ctx, gout: np.ndarray):
     return gx, gw, gb
 
 
-def _bn_axes(x: np.ndarray):
-    # Accepts [N,C,H,W] (per-channel over N,H,W) or [N,C] (per-feature over N).
-    if x.ndim == 4:
-        return (0, 2, 3), x.shape[1], x.shape[0] * x.shape[2] * x.shape[3]
-    if x.ndim == 2:
-        return (0,), x.shape[1], x.shape[0]
-    raise ShapeError(f"batch_norm expects 2-D or 4-D input, got {x.shape}")
+def _planes(a: np.ndarray) -> np.ndarray:
+    """a as [N,C,H,W] planes: [N,C] features are the 1x1 case."""
+    if a.ndim == 2:
+        return a.reshape(*a.shape, 1, 1)
+    if a.ndim != 4:
+        raise ShapeError(f"batch_norm expects 2-D or 4-D input, got {a.shape}")
+    return a
 
 
 def _by_batch(x: np.ndarray, work, sums=(), scratch=None) -> list[np.ndarray]:
@@ -312,25 +312,24 @@ def _by_batch(x: np.ndarray, work, sums=(), scratch=None) -> list[np.ndarray]:
     return the per-channel sums it puts, one per dtype in `sums`.
 
     work computes on the [b] slices of its arrays alone. put(i, a) records
-    sum i of a, an [len(b), C, ...] block of dtype sums[i], over every axis
-    but the channel's. tmp is a scratch array like x[b] of dtype `scratch`,
-    or None.
+    sum i of a, an [len(b), C, H, W] block of dtype sums[i], over every
+    axis but the channel's. tmp is a scratch array like x[b] of dtype
+    `scratch`, or None.
 
-    A C-contiguous 4-D x of more than one chunk (CHUNK_BYTES) and two
+    A C-contiguous x [N,C,H,W] of more than one chunk (CHUNK_BYTES) and two
     channels or more runs on lanes: put writes a's per-(sample, channel)
     sums into an [N, C] array, which this thread reduces with
     `sum(axis=0)`, adding them as the whole-array `sum(axis=(0, 2, 3))`
-    does. Any other x runs in one call on the whole batch, with
-    whole-array sums: numpy sums a 2-D or one-channel x pairwise over the
-    whole block, and other layouts in another order.
+    does. An x of one chunk, of one channel, or not C-contiguous runs in one
+    call with whole-array sums: numpy sums a one-channel x pairwise over
+    the whole block, and other layouts in another order.
     """
     n, c = x.shape[:2]
-    if not (x.ndim == 4 and c > 1 and x.nbytes > CHUNK_BYTES and x.flags.c_contiguous):
+    if not (c > 1 and x.nbytes > CHUNK_BYTES and x.flags.c_contiguous):
         out = [None] * len(sums)
-        axes = _bn_axes(x)[0]
 
         def put(i, a):
-            out[i] = a.sum(axis=axes)
+            out[i] = a.sum(axis=(0, 2, 3))
 
         work(slice(None), put, None if scratch is None else np.empty_like(x, scratch))
         return out
@@ -344,8 +343,8 @@ def _by_batch(x: np.ndarray, work, sums=(), scratch=None) -> list[np.ndarray]:
     return [r.sum(axis=0) for r in rows]
 
 
-def _bn_reshape(v: np.ndarray, ndim: int) -> np.ndarray:
-    return v.reshape(1, -1, 1, 1) if ndim == 4 else v.reshape(1, -1)
+def _bn_reshape(v: np.ndarray) -> np.ndarray:
+    return v.reshape(1, -1, 1, 1)
 
 
 def batch_norm_forward(
@@ -356,23 +355,27 @@ def batch_norm_forward(
     running_var: np.ndarray,
     train: bool,
 ):
-    """Batch normalization over batch chunks. Train mode updates running
-    stats in place.
+    """Batch normalization over batch chunks, per channel over the batch
+    and every position: [N,C] features run as [N,C,1,1] planes, and the
+    output has x's shape. Train mode updates running stats in place.
 
     Normalization uses the biased batch variance; the running variance is
     updated with the unbiased estimate (the dominant framework convention).
     The statistics follow np.mean's and np.var's own steps, so they have
     their bits. Train mode keeps the normalized input xhat for the backward
-    pass; eval mode builds it chunk by chunk in the output itself and keeps
-    no ctx (None), as a network keeps none from an eval-mode forward.
+    pass; eval mode builds it with the same steps chunk by chunk in the
+    output itself and keeps no ctx (None), as a network keeps none from an
+    eval-mode forward.
     """
-    _, c, m = _bn_axes(x)
+    shape, x = x.shape, _planes(x)
+    n, c, h, w = x.shape
+    m = n * h * w
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean), ("running_var", running_var)):
         if arr.shape != (c,):
-            raise ShapeError(f"{name} shape {arr.shape} != ({c},) for input {x.shape}")
+            raise ShapeError(f"{name} shape {arr.shape} != ({c},) for input {shape}")
     if train:
         (total,) = _by_batch(x, lambda b, put, tmp: put(0, x[b]), (x.dtype,))
-        mean = _bn_reshape(total / m, x.ndim)
+        mean = _bn_reshape(total / m)
         xhat = np.empty_like(x, np.result_type(x, mean))  # centred first, scaled in place below
 
         def centre(b, put, tmp):
@@ -386,31 +389,27 @@ def batch_norm_forward(
         running_mean *= 1 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.reshape(c)
     else:
-        mean, var = _bn_reshape(running_mean, x.ndim), running_var
+        mean, var = _bn_reshape(running_mean), running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    scale, g, bias = (_bn_reshape(v, x.ndim) for v in (inv_std, gamma, beta))
+    scale, g, bias = (_bn_reshape(v) for v in (inv_std, gamma, beta))
     out = np.empty_like(x, np.result_type(g, x, mean))
 
     def normalize(b, put, tmp):
-        if train:
-            xhat[b] *= scale
-            np.multiply(g, xhat[b], out=out[b])
-        else:  # train mode's centring and scaling steps, in out[b]
-            np.subtract(x[b], mean, out=out[b])
-            out[b] *= scale
-            np.multiply(g, out[b], out=out[b])
+        t = xhat[b] if train else np.subtract(x[b], mean, out=out[b])
+        t *= scale
+        np.multiply(g, t, out=out[b])
         out[b] += bias
 
     _by_batch(x, normalize)
-    return out.astype(x.dtype, copy=False), (xhat, gamma, inv_std, m) if train else None
+    return out.astype(x.dtype, copy=False).reshape(shape), (xhat, gamma, inv_std, m) if train else None
 
 
 def batch_norm_backward(ctx, gout: np.ndarray):
     """Gradients (gx, ggamma, gbeta) of the train-mode map, over batch
-    chunks; ctx is a train-mode forward's."""
+    chunks; ctx is a train-mode forward's, and gx has gout's shape."""
     xhat, gamma, inv_std, m = ctx
-    _bn_axes(gout)
-    g, scale = _bn_reshape(gamma, gout.ndim), _bn_reshape(inv_std, gout.ndim)
+    shape, gout = gout.shape, _planes(gout)
+    g, scale = _bn_reshape(gamma), _bn_reshape(inv_std)
     gx = np.empty_like(gout, np.result_type(gout, g))  # d/dxhat, turned into d/dx in place
     tmp_dtype = np.result_type(gout, xhat)
 
@@ -424,7 +423,7 @@ def batch_norm_backward(ctx, gout: np.ndarray):
     sums = (tmp_dtype, gout.dtype, gx.dtype, tmp_dtype)
     ggamma, gbeta, *totals = _by_batch(gout, grads, sums, tmp_dtype)
     # d/dx of (x - mean)/sqrt(var + eps) with batch mean/var as functions of x
-    mean_g, proj = (_bn_reshape(total / m, gout.ndim) for total in totals)
+    mean_g, proj = (_bn_reshape(total / m) for total in totals)
 
     def centre(b, put, tmp):
         gx[b] -= mean_g
@@ -432,7 +431,7 @@ def batch_norm_backward(ctx, gout: np.ndarray):
         gx[b] *= scale
 
     _by_batch(gout, centre, (), tmp_dtype)
-    return gx.astype(gout.dtype, copy=False), ggamma, gbeta
+    return gx.astype(gout.dtype, copy=False).reshape(shape), ggamma, gbeta
 
 
 def max_pool2d_forward(x: np.ndarray, k: int, stride: int, pad: int = 0):

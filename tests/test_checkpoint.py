@@ -190,6 +190,27 @@ class TestAtomicWrites:
         assert target.read_bytes() == b"hello"
         assert os.listdir(target.parent) == ["out.bin"]
 
+    def test_a_killed_writes_temp_file_is_replaced_by_the_next_write(self, tmp_path):
+        # A write killed before its rename leaves the target's temp file.
+        (tmp_path / ".tmp-out.bin").write_bytes(b"stale partial")
+        ck.atomic_write_bytes(str(tmp_path / "out.bin"), b"hello")
+        assert os.listdir(tmp_path) == ["out.bin"]
+        assert (tmp_path / "out.bin").read_bytes() == b"hello"
+
+    def test_files_are_private_to_their_owner(self, tmp_path):
+        ck.atomic_write_bytes(str(tmp_path / "out.bin"), b"hello")
+        assert (tmp_path / "out.bin").stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.skipif(not hasattr(os, "O_NOFOLLOW"), reason="the platform has no O_NOFOLLOW")
+    def test_a_symlink_at_the_temp_name_is_refused(self, tmp_path):
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"keep")
+        (tmp_path / ".tmp-out.bin").symlink_to(victim)
+        with pytest.raises(OSError):
+            ck.atomic_write_bytes(str(tmp_path / "out.bin"), b"hello")
+        assert victim.read_bytes() == b"keep"
+        assert sorted(os.listdir(tmp_path)) == [".tmp-out.bin", "victim"]
+
     def test_package_writes_files_only_through_it(self):
         """Builtin open() in the package reads ("rb"), except the search
         log's append and its torn-tail truncation; every other file is

@@ -367,8 +367,17 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             ops.batch_norm_forward(rand((2, 3, 4, 4), 0), np.ones(2), np.zeros(3), np.zeros(3), np.ones(3), True)
 
-    # The last two shapes are one channel, which keeps the whole-array sums,
-    # and larger than one default chunk.
+    def test_input_of_another_rank_rejected(self):
+        ones, zeros = np.ones(3), np.zeros(3)
+        with pytest.raises(ShapeError):
+            ops.batch_norm_forward(rand((2, 3, 4), 0), ones, zeros, zeros.copy(), ones.copy(), True)
+        _, ctx = ops.batch_norm_forward(rand((2, 3), 0), ones, zeros, zeros.copy(), ones.copy(), True)
+        with pytest.raises(ShapeError):
+            ops.batch_norm_backward(ctx, rand((2, 3, 1), 1))
+
+    # The 2-D shapes run as [N,C,1,1] planes and take the split path at the
+    # 1-byte budget. The last two shapes are one channel, which keeps the
+    # whole-array sums, and larger than one default chunk.
     @pytest.mark.parametrize("shape", [(7, 5), (1, 3), (6, 4, 5, 3), (3, 8, 6, 6), (3, 1, 6, 6), (35, 16, 32, 32)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [True, False])
