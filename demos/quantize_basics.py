@@ -13,18 +13,17 @@ from binwidth import ops, quant
 # Weights collapse to sign(w) times one shared scale, the mean absolute
 # value. The tensor keeps its shape; only two distinct magnitudes remain.
 w = np.array([0.5, -1.5, 0.25, -0.75])
-qw = quant.binarize_weights(w)
 print("weights in:     ", w)
-print("scale (mean|w|):", qw.scale)
-print("weights out:    ", qw.values)
+print("scale (mean|w|):", np.abs(w).mean())
+print("weights out:    ", quant.binarize_weights(w))
 
 # Activations clip to [0,1] and round to {0,1}. 0.5 rounds up.
 x = np.array([-0.3, 0.2, 0.5, 0.7, 1.4])
-qx = quant.binarize_activations(x)
+qx, pass_mask = quant.binarize_activations(x)
 print()
 print("activations in: ", x)
-print("activations out:", qx.values)
-print("pass mask:      ", qx.pass_mask.astype(int))
+print("activations out:", qx)
+print("pass mask:      ", pass_mask.astype(int))
 
 # The backward story. For weights the estimator is the identity: the
 # upstream gradient flows through untouched.
@@ -36,7 +35,7 @@ print("weight grad:    ", quant.ste_weight_grad(upstream_w, w))
 # forward pass's pass mask, so the saturated entries (-0.3 and 1.4 above)
 # receive nothing.
 upstream_x = np.ones_like(x)
-print("activation grad:", quant.ste_activation_grad(upstream_x, qx.pass_mask))
+print("activation grad:", quant.ste_activation_grad(upstream_x, pass_mask))
 
 # A binary convolution quantizes both operands before the dot products,
 # so the output is built from {0,1} x {-s,+s} terms only. In a network
@@ -44,9 +43,9 @@ print("activation grad:", quant.ste_activation_grad(upstream_x, qx.pass_mask))
 rng = np.random.default_rng(0)
 images = rng.uniform(0, 1, size=(1, 2, 5, 5))
 kernels = rng.standard_normal((3, 2, 3, 3)) * 0.2
-qimages = quant.binarize_activations(images)
+qimages, images_mask = quant.binarize_activations(images)
 qkernels = quant.binarize_weights(kernels)
-out, ctx = ops.conv2d_forward(qimages.values, qkernels.values)
+out, ctx = ops.conv2d_forward(qimages, qkernels)
 print()
 print("binary conv output shape:", out.shape)
 print("first few distinct output values:", np.unique(np.round(out, 4))[:5])
@@ -54,14 +53,14 @@ print("first few distinct output values:", np.unique(np.round(out, 4))[:5])
 # Backward: the conv gradients flow through the two estimators, the
 # identity for the weights and the clip-window mask for the activations.
 gq, gw_b = ops.conv2d_backward(ctx, np.ones_like(out))
-gx = quant.ste_activation_grad(gq, qimages.pass_mask)
+gx = quant.ste_activation_grad(gq, images_mask)
 gw = quant.ste_weight_grad(gw_b, kernels)
 print("grad shapes:", gx.shape, gw.shape)
 
 # Inputs already at {0,1} pass the activation quantizer unchanged, so
 # the binary conv equals a float conv on the binarized weights.
 hard = (images > 0.5).astype(np.float64)
-plain = ops.conv2d_forward(hard, qkernels.values)[0]
+plain = ops.conv2d_forward(hard, qkernels)[0]
 print()
 print("matches float conv on hard inputs:",
-      np.allclose(ops.conv2d_forward(quant.binarize_activations(hard).values, qkernels.values)[0], plain))
+      np.allclose(ops.conv2d_forward(quant.binarize_activations(hard)[0], qkernels)[0], plain))

@@ -55,9 +55,12 @@ with tempfile.TemporaryDirectory(prefix="binwidth_demo_") as workdir:
     print("artifacts:", sorted(os.listdir(run_dir)))
 
     # Rerunning a finished run changes nothing; the log is the ground truth.
-    before = open(os.path.join(run_dir, "search_log.jsonl"), "rb").read()
+    log_path = os.path.join(run_dir, "search_log.jsonl")
+    with open(log_path, "rb") as f:
+        before = f.read()
     runner.run_search(cfg)
-    after = open(os.path.join(run_dir, "search_log.jsonl"), "rb").read()
+    with open(log_path, "rb") as f:
+        after = f.read()
     print("rerun left the log untouched:", before == after)
 
     # Reports are plain CSV derived from the log and the winning code.

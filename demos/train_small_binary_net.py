@@ -41,5 +41,4 @@ print(f"val acc:   {train.accuracy(net, val_set):.1f}%")
 
 # The binarized middle layers really are binary: after quantization a
 # hidden conv weight tensor carries exactly two values.
-qw = quant.binarize_weights(net.params["conv2.weight"])
-print("conv2 quantized values:", np.unique(qw.values))
+print("conv2 quantized values:", np.unique(quant.binarize_weights(net.params["conv2.weight"])))

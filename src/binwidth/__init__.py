@@ -29,8 +29,6 @@ from .errors import (
 )
 from .net import Network, instantiate
 from .quant import (
-    BinarizedWeights,
-    QuantizedActivations,
     binarize_activations,
     binarize_weights,
     ste_activation_grad,

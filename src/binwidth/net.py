@@ -63,7 +63,7 @@ class _WeightedUnit(_Unit):
 
     def _weight(self, net: "Network") -> np.ndarray:
         w = net.params[self.key]
-        return binarize_weights(w).values if self.spec.binarized else w
+        return binarize_weights(w) if self.spec.binarized else w
 
     def _store_weight_grad(self, net: "Network", gw: np.ndarray) -> None:
         if self.spec.binarized:
@@ -116,8 +116,7 @@ class _BNUnit(_Unit):
 
 class _ActUnit(_Unit):
     def _forward(self, net, x, train):
-        q = binarize_activations(x)
-        return q.values, q.pass_mask
+        return binarize_activations(x)
 
     def _backward(self, net, ctx, g):
         return ste_activation_grad(g, ctx)

@@ -499,11 +499,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise InputError(f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = float(-log_probs[rows, labels].mean())
-    grad = probs
+    loss = float(-(shifted[rows, labels] - np.log(total[:, 0])).mean())  # the labelled log-probabilities
+    grad = exp / total
     grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad.astype(logits.dtype, copy=False)

@@ -4,7 +4,8 @@ Weights binarize to sign(w) scaled by the layer-wide mean absolute value
 (a single scalar per layer). Activations binarize to round(clip(x, 0, 1)),
 with halves rounding away from zero. The backward rules are the
 straight-through estimators: identity for the weight quantizer, the
-clip-window indicator for the activation quantizer.
+clip-window indicator for the activation quantizer. Each returns arrays,
+as the `ops` kernels do; the activation quantizer's pass mask is its ctx.
 
 There is no fused binary conv: `net` applies these functions in its own
 units, an activation unit ahead of each binarized conv or fc unit.
@@ -14,41 +15,20 @@ batch chunks on `ops`' lanes, into outputs that the calling thread
 allocates; they are elementwise, so any chunking gives the same bits.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
 from .errors import InputError, ShapeError
 
 
-@dataclass
-class BinarizedWeights:
-    """signs in {-1,+1} with one positive scalar scale for the whole layer."""
-
-    signs: np.ndarray
-    scale: float
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.signs * np.asarray(self.scale, dtype=self.signs.dtype)
-
-
-@dataclass
-class QuantizedActivations:
-    """values in {0,1}; pass_mask marks source entries inside [0, 1]."""
-
-    values: np.ndarray
-    pass_mask: np.ndarray
-
-
-def binarize_weights(w: np.ndarray) -> BinarizedWeights:
-    """sign(w) * mean(|w|), with sign(0) := +1."""
+def binarize_weights(w: np.ndarray) -> np.ndarray:
+    """sign(w) * mean(|w|), with sign(0) := +1, in w's dtype. Multiplying
+    the scale by -1 rather than negating it keeps a NaN scale's sign bit
+    as sign * scale would."""
     if w.size == 0:
         raise InputError("cannot binarize an empty weight tensor")
-    scale = float(np.abs(w).mean())
-    signs = np.where(w < 0, w.dtype.type(-1), w.dtype.type(1))
-    return BinarizedWeights(signs=signs, scale=scale)
+    scale = np.asarray(float(np.abs(w).mean()), w.dtype)
+    return np.where(w < 0, scale * w.dtype.type(-1), scale)
 
 
 def _over_batch(work, a: np.ndarray) -> None:
@@ -58,10 +38,11 @@ def _over_batch(work, a: np.ndarray) -> None:
     ops._on_lanes(work, len(a), a.nbytes // max(1, len(a)))
 
 
-def binarize_activations(x: np.ndarray) -> QuantizedActivations:
-    """round(clip(x, 0, 1)) elementwise; 0.5 rounds up. Each chunk is
-    clipped, raised by 0.5 and floored in place in the output; np.round is
-    round-half-even, and on [0, 1] floor(x + 0.5) rounds halves up."""
+def binarize_activations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, pass_mask): round(clip(x, 0, 1)) elementwise, 0.5 rounding
+    up, and where 0 <= x <= 1. Each chunk is clipped, raised by 0.5 and
+    floored in place in the output; np.round is round-half-even, and on
+    [0, 1] floor(x + 0.5) rounds halves up."""
     values = np.empty(x.shape, x.dtype)
     pass_mask = np.empty(x.shape, np.bool_)
 
@@ -72,7 +53,7 @@ def binarize_activations(x: np.ndarray) -> QuantizedActivations:
         np.floor(v, out=v)
 
     _over_batch(run, x)
-    return QuantizedActivations(values=values, pass_mask=pass_mask)
+    return values, pass_mask
 
 
 def ste_weight_grad(upstream: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -83,8 +64,8 @@ def ste_weight_grad(upstream: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def ste_activation_grad(upstream: np.ndarray, pass_mask: np.ndarray) -> np.ndarray:
-    """Upstream gradient masked to the clip window: `pass_mask` is
-    `binarize_activations(x).pass_mask` of the forward input x."""
+    """Upstream gradient masked to the clip window: `pass_mask` is the
+    second array `binarize_activations(x)` returned for the forward input x."""
     if pass_mask.dtype != np.bool_ or upstream.shape != pass_mask.shape:
         raise ShapeError(f"pass_mask must be a bool array of the upstream shape {upstream.shape}, "
                          f"got {pass_mask.dtype} {pass_mask.shape}")

@@ -127,7 +127,7 @@ def fitness(acc_percent: float, flops_norm: float, lambda_: float) -> float:
 
 
 def select_parent(population: list[SearchLogRecord], rng: np.random.Generator,
-                  tournament_size: int = 2) -> SearchLogRecord:
+                  tournament_size: int) -> SearchLogRecord:
     """Tournament without replacement; highest fitness wins, ties to the
     lowest population index."""
     if not population:
@@ -142,7 +142,7 @@ def select_parent(population: list[SearchLogRecord], rng: np.random.Generator,
 
 
 def crossover(parent_a: ExpansionCode, parent_b: ExpansionCode, rng: np.random.Generator,
-              crossover_rate: float = 0.9) -> ExpansionCode:
+              crossover_rate: float) -> ExpansionCode:
     """Uniform crossover with probability crossover_rate, else a copy of
     parent_a. One rate draw plus one mask draw per call, rate regardless."""
     if len(parent_a) != len(parent_b):

@@ -1,6 +1,7 @@
 """Shared test oracles: loop-based references, finite differences, the
-network's binary act -> conv path with its differentiable surrogate, and
-the per-call geometry walk and pricing that the geometry plan replaced."""
+network's binary act -> conv path with its differentiable surrogate, a
+whole-network gradient check through frozen quantizers, and the per-call
+geometry walk and pricing that the geometry plan replaced."""
 
 from __future__ import annotations
 
@@ -78,6 +79,88 @@ def surrogate_conv_grads(x: np.ndarray, w: np.ndarray, tangent: np.ndarray, pad:
     return gxc * ((x > 0) & (x < 1)), gw
 
 
+class _BasePoint:
+    """Per-call records of one base forward, recalled in call order after it:
+    a network's forward calls each stand-in in the same order every time."""
+
+    def __init__(self):
+        self.records = []
+        self.next = None  # None during the base forward, which records
+
+    def recall(self, make):
+        if self.next is None:
+            self.records.append(make())
+            return self.records[-1]
+        self.next += 1
+        return self.records[self.next - 1]
+
+
+def network_gradient_errors(monkeypatch, template, code, seed: int = 0, n: int = 4, eps: float = 1e-6) -> dict:
+    """Relative error of `Network.backward` against a central difference, per
+    parameter tensor, along one seeded random direction per tensor.
+
+    The network runs in float64 through stand-ins for the quantizers and
+    max-pool, bound where `net` and `ops` look them up. After one base
+    forward each is a frozen linear map: an activation quantizer gives
+    q0 + (x - x0) * mask0 with ctx mask0, a weight quantizer b0 + (w - w0),
+    and a max-pool gathers and scatters at the base point's first-max
+    routing. The surrogate's true gradient is then the straight-through
+    gradient that training runs, and the rest of the backward pass (batch
+    norm in train mode, residual adds, projections, global pooling, the fc
+    reshape) is checked as it is.
+    """
+    binarize_activations, binarize_weights = net.binarize_activations, net.binarize_weights
+    base = _BasePoint()
+
+    def activations(x):
+        x0, q0, mask0 = base.recall(lambda: (x.copy(), *binarize_activations(x)))
+        return q0 + (x - x0) * mask0, mask0
+
+    def weights(w):
+        w0, b0 = base.recall(lambda: (w.copy(), binarize_weights(w)))
+        return b0 + (w - w0)
+
+    def pool_forward(x, k, stride, pad=0):
+        x_eff, routing = max_pool_routing(x, k, stride, pad)
+        flat_idx = base.recall(lambda: routing)
+        return x_eff.reshape(-1)[flat_idx], (flat_idx, x_eff.shape, pad)
+
+    def pool_backward(ctx, gout):
+        flat_idx, padded_shape, pad = ctx
+        return _scatter_to_input(flat_idx, gout, padded_shape, pad)
+
+    monkeypatch.setattr(net, "binarize_activations", activations)
+    monkeypatch.setattr(net, "binarize_weights", weights)
+    monkeypatch.setattr(ops, "max_pool2d_forward", pool_forward)
+    monkeypatch.setattr(ops, "max_pool2d_backward", pool_backward)
+
+    network = net.instantiate(template, code, seed)
+    network.params = {name: p.astype(np.float64) for name, p in network.params.items()}
+    network.buffers = {name: b.astype(np.float64) for name, b in network.buffers.items()}
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, *template.input_shape))
+    logits = network.forward(x, train=True)
+    labels = np.arange(n) % logits.shape[1]
+    network.backward(ops.softmax_cross_entropy(logits, labels)[1])
+
+    def loss() -> float:
+        base.next = 0
+        return ops.softmax_cross_entropy(network.forward(x, train=True), labels)[0]
+
+    errors = {}
+    for name, p in network.params.items():
+        direction = rng.standard_normal(p.shape)
+        p0 = p.copy()
+        p[...] = p0 + eps * direction
+        hi = loss()
+        p[...] = p0 - eps * direction
+        lo = loss()
+        p[...] = p0
+        numeric, analytic = (hi - lo) / (2 * eps), float((network.grads[name] * direction).sum())
+        errors[name] = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-12)
+    return errors
+
+
 def conv2d_reference(x: np.ndarray, w: np.ndarray, stride: int, pad: int, gout: np.ndarray):
     """Whole-batch im2col convolution: output, input gradient and weight gradient.
 
@@ -106,13 +189,9 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray, stride: int, pad: int, gout: 
     return out, gx_pad[:, :, pad : pad + h, pad : pad + wd], gw
 
 
-def max_pool2d_reference(x: np.ndarray, k: int, stride: int, pad: int, gout: np.ndarray):
-    """The argmax-and-scatter-add max-pool: output and input gradient.
-
-    The bitwise oracle for `ops.max_pool2d_forward/backward`. Ties route to
-    the first element of a window in row-major order, and `np.add.at` sums
-    overlapping windows in row-major window order.
-    """
+def max_pool_routing(x: np.ndarray, k: int, stride: int, pad: int):
+    """The -inf padded input and, per output element, the flat index into it
+    of its window's first maximum in row-major order (the tie rule)."""
     n, c, h, w = x.shape
     hout, wout = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
     hp, wp = h + 2 * pad, w + 2 * pad
@@ -122,16 +201,30 @@ def max_pool2d_reference(x: np.ndarray, k: int, stride: int, pad: int, gout: np.
     windows = np.lib.stride_tricks.as_strided(
         x_eff, shape=(n, c, hout, wout, k, k), strides=(sn, sc, stride * sh, stride * sw, sh, sw)
     )
-    flat = windows.reshape(n, c, hout, wout, k * k)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    arg = windows.reshape(n, c, hout, wout, k * k).argmax(axis=-1)
     rows = (np.arange(hout) * stride)[None, None, :, None] + arg // k
     cols = (np.arange(wout) * stride)[None, None, None, :] + arg % k
-    flat_idx = (np.arange(n)[:, None, None, None] * (c * hp * wp)
-                + np.arange(c)[None, :, None, None] * (hp * wp) + rows * wp + cols)
-    gx_pad = np.zeros(n * c * hp * wp, dtype=gout.dtype)
+    return x_eff, (np.arange(n)[:, None, None, None] * (c * hp * wp)
+                   + np.arange(c)[None, :, None, None] * (hp * wp) + rows * wp + cols)
+
+
+def _scatter_to_input(flat_idx: np.ndarray, gout: np.ndarray, padded_shape, pad: int) -> np.ndarray:
+    # np.add.at sums the gradients of overlapping windows in row-major window order.
+    gx_pad = np.zeros(math.prod(padded_shape), dtype=gout.dtype)
     np.add.at(gx_pad, flat_idx.ravel(), gout.ravel())
-    return out, gx_pad.reshape(n, c, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+    hp, wp = padded_shape[2:]
+    return gx_pad.reshape(padded_shape)[:, :, pad : hp - pad, pad : wp - pad]
+
+
+def max_pool2d_reference(x: np.ndarray, k: int, stride: int, pad: int, gout: np.ndarray):
+    """The argmax-and-scatter-add max-pool: output and input gradient.
+
+    The bitwise oracle for `ops.max_pool2d_forward/backward`. Ties route to
+    the first element of a window in row-major order, and `np.add.at` sums
+    overlapping windows in row-major window order.
+    """
+    x_eff, flat_idx = max_pool_routing(x, k, stride, pad)
+    return x_eff.reshape(-1)[flat_idx], _scatter_to_input(flat_idx, gout, x_eff.shape, pad)
 
 
 def batch_norm_reference(x, gamma, beta, running_mean, running_var, train, gout,

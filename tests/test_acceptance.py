@@ -67,12 +67,10 @@ def test_fitness_spot_check_reference_operating_point():
 
 def test_quantizer_unit_vectors_exact():
     w = np.array([0.5, -1.5, 0.25, -0.75])
-    q = quant.binarize_weights(w)
-    assert q.scale == pytest.approx(0.75)
-    np.testing.assert_array_equal(q.values, [0.75, -0.75, 0.75, -0.75])
+    np.testing.assert_array_equal(quant.binarize_weights(w), [0.75, -0.75, 0.75, -0.75])
     x = np.array([-0.3, 0.2, 0.7, 1.4])
-    np.testing.assert_array_equal(quant.binarize_activations(x).values, [0.0, 0.0, 1.0, 1.0])
-    np.testing.assert_array_equal(quant.binarize_activations(np.array([0.5])).values, [1.0])
+    np.testing.assert_array_equal(quant.binarize_activations(x)[0], [0.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(quant.binarize_activations(np.array([0.5]))[0], [1.0])
 
 
 def test_ste_gradient_matches_surrogate_network_to_1e6():

@@ -2,14 +2,17 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from binwidth import cli, space, synth, templates
+from binwidth import cli, runner, space, synth, templates
 from binwidth.checkpoint import read_checkpoint, serialize_checkpoint, write_checkpoint, Checkpoint, inherit_weights
 from binwidth.net import instantiate
 from binwidth.search import SearchLogRecord
+
+GOLDEN_LOG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "resnet_mini_search_log.jsonl")
 
 
 def write_config(tmp_path, **overrides):
@@ -374,6 +377,43 @@ class TestReportVerb:
         assert cli.main(["report", "--run", str(tmp_path / "run"), "--out", rep_dir]) == 0
         for name in ("fitness.csv", "channels.csv", "flops.csv"):
             assert os.path.exists(os.path.join(rep_dir, name))
+
+    def test_tables_are_pinned_byte_for_byte(self, tmp_path, capsys):
+        # The golden resnet_mini log and its best record's code file, as a search leaves them.
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copyfile(GOLDEN_LOG, run / runner.LOG_NAME)
+        best = max(runner.read_search_log(str(run / runner.LOG_NAME)), key=lambda r: r.fitness)
+        (run / runner.BEST_CODE_NAME).write_text(space.code_file_text("resnet_mini", best.code))
+        assert cli.main(["report", "--run", str(run), "--out", str(tmp_path / "rep")]) == 0
+        capsys.readouterr()
+        tables = {name: (tmp_path / "rep" / name).read_bytes() for name in ("fitness.csv", "channels.csv", "flops.csv")}
+        assert tables == {
+            "fitness.csv": (
+                b"generation,evaluations,best_fitness,mean_fitness,best_acc\r\n"
+                b"0,4,3.688019,2.083266,5.0000\r\n"
+                b"1,3,8.168052,5.121022,10.0000\r\n"),
+            "channels.csv": (
+                b"layer,kind,searched,uniform_1x,uniform_2x,uniform_3x,uniform_4x\r\n"
+                b"stem_conv,conv,4,16,32,48,64\r\n"
+                b"s1b1_conv1,conv,64,16,32,48,64\r\n"
+                b"s1b1_conv2,conv,4,16,32,48,64\r\n"
+                b"s2b1_conv1,conv,16,32,64,96,128\r\n"
+                b"s2b1_conv2,conv,32,32,64,96,128\r\n"
+                b"s2b1_proj_conv,conv,32,32,64,96,128\r\n"
+                b"s3b1_conv1,conv,192,64,128,192,256\r\n"
+                b"s3b1_conv2,conv,16,64,128,192,256\r\n"
+                b"s3b1_proj_conv,conv,16,64,128,192,256\r\n"
+                b"fc,fc,10,10,10,10,10\r\n"),
+            "flops.csv": (
+                b"label,code,binary,flops,flops_norm,speedup,weight_bits\r\n"
+                b"full_precision_1x,1 1 1 1 1 1,0,12501632.0,19.799108,1.0000,2475520\r\n"
+                b"uniform_1x,1 1 1 1 1 1,1,631424.0,1.000000,19.7991,110848\r\n"
+                b"uniform_2x,2 2 2 2 2 2,1,1639680.0,2.596797,7.6244,374016\r\n"
+                b"uniform_3x,3 3 3 3 3 3,1,3024768.0,4.790391,4.1331,789760\r\n"
+                b"uniform_4x,4 4 4 4 4 4,1,4786688.0,7.580782,2.6117,1358080\r\n"
+                b"searched,0.25 4 0.5 1 3 0.25,1,289184.0,0.457987,43.2307,102208\r\n"),
+        }
 
     def test_log_line_not_utf8_is_format_error_at_its_line(self, tmp_path, capsys):
         (tmp_path / "best_code.json").write_text(space.code_file_text("vgg_small_mini", (1.0,) * 4))

@@ -1,5 +1,5 @@
-"""Every demo runs to completion against the current API and leaves no
-temp files behind."""
+"""Every demo runs to completion against the current API, warning-clean,
+and leaves no temp files behind."""
 
 import os
 import subprocess
@@ -15,7 +15,9 @@ DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path))  # a demo's temp files land where the test can see them
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+    # -W error, as the test suite runs: a warning fails the demo, and a demo prints nothing on stderr.
+    done = subprocess.run([sys.executable, "-W", "error", os.path.join(ROOT, "demos", demo)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     assert not list(tmp_path.glob("binwidth_demo_*")), "the demo left its temp directory behind"

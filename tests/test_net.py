@@ -11,7 +11,7 @@ from binwidth import ops, space, templates, train
 from binwidth.data import Dataset
 from binwidth.errors import InputError, ShapeError
 
-from helpers import rel_err, specs
+from helpers import network_gradient_errors, rel_err, specs
 
 
 def build(name="vgg_small_mini", ratio=1, seed=0):
@@ -26,8 +26,8 @@ def batch_for(net, n=4, seed=0):
 
 
 def all_units(net):
-    """Every unit, with the main-path and projection units inside residual blocks."""
-    return [inner for unit in net.units for inner in [unit, *getattr(unit, "main", ()), *getattr(unit, "proj", ())]]
+    """Every unit, with the main-path and shortcut units inside residual blocks."""
+    return [inner for unit in net.units for inner in [unit, *getattr(unit, "main", ()), *getattr(unit, "shortcut", ())]]
 
 
 class TestInit:
@@ -303,3 +303,21 @@ class TestClassifierGradientIsExact:
             p[idx] = orig
             fd[idx] = (hi - lo) / (2 * eps)
         assert rel_err(analytic, fd) < 1e-2
+
+
+class TestWholeNetworkGradient:
+    """`Network.backward` against a central difference through the whole
+    network, with the quantizers and max-pool frozen at a base point
+    (`helpers.network_gradient_errors`): every parameter tensor, along one
+    random direction each. resnet_mini's stages 2 and 3 always have
+    projection shortcuts."""
+
+    @pytest.mark.parametrize("name, code", [
+        ("vgg_small_mini", (1, 1, 1, 1)),
+        ("vgg_small_mini", (0.5, 2, 0.25, 3)),
+        ("resnet_mini", (1, 1, 1, 1, 1, 1)),
+        ("resnet_mini", (0.25, 4, 0.5, 1, 3, 0.25)),
+    ])
+    def test_backward_matches_central_difference(self, name, code, monkeypatch):
+        errors = network_gradient_errors(monkeypatch, templates.get_template(name), code)
+        assert max(errors.values()) < 1e-5, {p: e for p, e in errors.items() if e >= 1e-5}

@@ -143,8 +143,8 @@ def run_lane_kernels(x):
     rm, rv = zeros.copy(), ones.copy()
     out, ctx = ops.batch_norm_forward(x, ones, zeros, rm, rv, True)
     results += [out, *ops.batch_norm_backward(ctx, x), rm, rv]
-    q = quant.binarize_activations(x)
-    return results + [q.values, q.pass_mask, quant.ste_activation_grad(x, q.pass_mask)]
+    values, pass_mask = quant.binarize_activations(x)
+    return results + [values, pass_mask, quant.ste_activation_grad(x, pass_mask)]
 
 
 class TestChunks:

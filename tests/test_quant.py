@@ -20,79 +20,94 @@ finite_arrays = hnp.arrays(
 )
 
 
+def signs_times_scale(w: np.ndarray) -> np.ndarray:
+    """sign(w) as an array times mean|w| as a scalar, each in w's dtype: the
+    two-part formula that binarize_weights must match bit for bit."""
+    return np.where(w < 0, -1, 1).astype(w.dtype) * w.dtype.type(float(np.abs(w).mean()))
+
+
 class TestBinarizeWeights:
     def test_scale_is_mean_absolute_value(self):
         w = np.array([0.5, -1.5, 0.25, -0.75])
-        b = quant.binarize_weights(w)
-        assert b.scale == pytest.approx(0.75, abs=0)
-        assert np.array_equal(b.values, np.array([0.75, -0.75, 0.75, -0.75]))
+        assert np.array_equal(quant.binarize_weights(w), np.array([0.75, -0.75, 0.75, -0.75]))
 
     def test_all_zero_weights(self):
-        b = quant.binarize_weights(np.zeros((3, 2)))
-        assert b.scale == 0.0
-        assert np.array_equal(b.values, np.zeros((3, 2)))
+        assert np.array_equal(quant.binarize_weights(np.zeros((3, 2))), np.zeros((3, 2)))
 
     def test_equal_positive_weights_are_fixed_point(self):
         w = np.full((4,), 0.3)
-        assert np.array_equal(quant.binarize_weights(w).values, w)
+        assert np.array_equal(quant.binarize_weights(w), w)
 
     def test_zero_entries_take_positive_sign(self):
-        b = quant.binarize_weights(np.array([0.0, -2.0]))
-        assert np.array_equal(b.signs, np.array([1.0, -1.0]))
+        b = quant.binarize_weights(np.array([0.0, -0.0, -2.0]))
+        assert np.array_equal(np.sign(b), np.array([1.0, 1.0, -1.0]))
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             quant.binarize_weights(np.zeros((0, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_signs_are_built_in_the_weights_dtype(self, dtype):
+    @pytest.mark.parametrize("head", [(0.0, -0.0, 1.5), (np.inf, -1.0), (-np.inf, 1.0), (np.nan, -1.0), (-np.nan, -2.0), None],
+                             ids=["signed_zeros", "inf", "minus_inf", "nan", "minus_nan", "all_zero"])
+    def test_bitwise_equal_to_signs_times_scale(self, dtype, head):
+        w = np.random.default_rng(6).standard_normal((5, 7)).astype(dtype)
+        if head is None:
+            w[...] = np.where(np.arange(w.size).reshape(w.shape) % 2, 0.0, -0.0)
+        else:
+            w.flat[: len(head)] = head
+        got = quant.binarize_weights(w)
+        bits = f"u{w.itemsize}"
+        assert got.dtype == dtype and np.array_equal(got.view(bits), signs_times_scale(w).view(bits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_binarizes_in_the_weights_dtype(self, dtype):
         w = np.random.default_rng(4).standard_normal((1024, 1024)).astype(dtype)
         w[0, :3] = (0.0, -0.0, -np.inf)
         tracemalloc.start()
         try:
-            signs = quant.binarize_weights(w).signs
+            b = quant.binarize_weights(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert signs.dtype == dtype
-        want = np.where(w < 0, -1.0, 1.0).astype(dtype)
-        assert np.array_equal(signs.view(f"u{w.itemsize}"), want.view(f"u{w.itemsize}"))
-        # The signs and the w < 0 mask; float64 signs cast down would need 3x.
-        assert peak < 3 * w.nbytes
+        bits = f"u{w.itemsize}"
+        assert b.dtype == dtype and np.array_equal(b.view(bits), signs_times_scale(w).view(bits))
+        # The output and the w < 0 mask; signs and their product with the
+        # scale, as two full-size arrays, would need 2x.
+        assert peak < 1.5 * w.nbytes
 
     @given(finite_arrays)
     @settings(max_examples=40, deadline=None)
     def test_values_have_single_magnitude(self, w):
         b = quant.binarize_weights(w)
-        assert b.scale == pytest.approx(np.abs(w).mean())
-        assert set(np.unique(np.abs(b.values))) <= {b.scale}
+        assert set(np.unique(np.abs(b))) <= {np.abs(w).mean()}
 
 
 class TestBinarizeActivations:
     def test_clip_then_round(self):
-        q = quant.binarize_activations(np.array([-0.3, 0.2, 0.7, 1.4]))
-        assert np.array_equal(q.values, np.array([0.0, 0.0, 1.0, 1.0]))
+        values, _ = quant.binarize_activations(np.array([-0.3, 0.2, 0.7, 1.4]))
+        assert np.array_equal(values, np.array([0.0, 0.0, 1.0, 1.0]))
 
     def test_half_rounds_up(self):
-        assert quant.binarize_activations(np.array([0.5])).values[0] == 1.0
+        assert quant.binarize_activations(np.array([0.5]))[0][0] == 1.0
         # floor(x + 0.5) rounds this float32 sum to 1 as well; x >= 0.5 would not.
         below = np.array([np.nextafter(np.float32(0.5), np.float32(0))], dtype=np.float32)
-        assert quant.binarize_activations(below).values[0] == 1.0
+        assert quant.binarize_activations(below)[0][0] == 1.0
 
     def test_idempotent_on_binary_values(self):
         x = np.array([0.0, 1.0, 1.0, 0.0])
-        assert np.array_equal(quant.binarize_activations(x).values, x)
+        assert np.array_equal(quant.binarize_activations(x)[0], x)
 
     def test_pass_mask_is_closed_unit_interval(self):
         x = np.array([-0.1, 0.0, 0.5, 1.0, 1.1])
-        q = quant.binarize_activations(x)
-        assert np.array_equal(q.pass_mask, np.array([False, True, True, True, False]))
+        _, pass_mask = quant.binarize_activations(x)
+        assert np.array_equal(pass_mask, np.array([False, True, True, True, False]))
 
     @given(finite_arrays)
     @settings(max_examples=40, deadline=None)
     def test_outputs_binary(self, x):
-        q = quant.binarize_activations(x)
-        assert set(np.unique(q.values)) <= {0.0, 1.0}
+        values, pass_mask = quant.binarize_activations(x)
+        assert set(np.unique(values)) <= {0.0, 1.0}
+        assert pass_mask.dtype == np.bool_ and np.array_equal(pass_mask, (x >= 0) & (x <= 1))
 
 
 class TestSteGradients:
@@ -107,7 +122,7 @@ class TestSteGradients:
     def test_activation_ste_masks_outside_unit_interval(self):
         x = np.array([-0.5, 0.25, 2.0])
         up = np.array([1.0, 2.0, 3.0])
-        mask = quant.binarize_activations(x).pass_mask
+        _, mask = quant.binarize_activations(x)
         assert np.array_equal(quant.ste_activation_grad(up, mask), np.array([0.0, 2.0, 0.0]))
 
     @pytest.mark.parametrize("mask", [np.array([-0.5, 0.25, 2.0]), np.array([True, False])],
@@ -148,16 +163,16 @@ class TestActivationQuantizerOnLanes:
             for chunk_bytes in CHUNK_BUDGETS:
                 monkeypatch.setattr(ops, "_lanes", lanes)
                 monkeypatch.setattr(ops, "CHUNK_BYTES", chunk_bytes)
-                q = quant.binarize_activations(x)
-                assert q.values.dtype == dtype and np.array_equal(q.values.view(bits), values.view(bits))
-                assert np.array_equal(q.pass_mask, mask)
-                got = quant.ste_activation_grad(up, q.pass_mask)
+                got_values, got_mask = quant.binarize_activations(x)
+                assert got_values.dtype == dtype and np.array_equal(got_values.view(bits), values.view(bits))
+                assert np.array_equal(got_mask, mask)
+                got = quant.ste_activation_grad(up, got_mask)
                 assert got.dtype == dtype and np.array_equal(got.view(bits), grad.view(bits))
 
     def test_a_zero_strided_upstream(self):
         x = np.array([[-1.0, 0.5], [0.25, 2.0]], dtype=np.float32)
         up = np.broadcast_to(np.array([[-0.0], [3.0]], dtype=np.float32), (2, 2))
-        got = quant.ste_activation_grad(up, quant.binarize_activations(x).pass_mask)
+        got = quant.ste_activation_grad(up, quant.binarize_activations(x)[1])
         assert np.array_equal(got.view(np.uint32), np.array([[0.0, -0.0], [3.0, 0.0]], dtype=np.float32).view(np.uint32))
 
 
@@ -170,9 +185,7 @@ class TestBinaryConv:
         w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
         got, _, _ = act_conv_pass(x, w, np.zeros((2, 4, 6, 6), dtype=np.float32))
         want = ops.conv2d_forward(
-            quant.binarize_activations(x).values,
-            quant.binarize_weights(w).values,
-            stride=1, pad=1,
+            quant.binarize_activations(x)[0], quant.binarize_weights(w), stride=1, pad=1,
         )[0]
         assert rel_err(got, want) == 0
 
@@ -186,7 +199,7 @@ class TestBinaryConv:
         assert np.all(gx[(x < 0) | (x > 1)] == 0)
         # w-grad equals the plain conv weight grad on quantized activations.
         _, plain_ctx = ops.conv2d_forward(
-            quant.binarize_activations(x).values, quant.binarize_weights(w).values, 1, 1,
+            quant.binarize_activations(x)[0], quant.binarize_weights(w), 1, 1,
         )
         _, gw_plain = ops.conv2d_backward(plain_ctx, tangent)
         assert rel_err(gw, gw_plain) == 0

@@ -96,16 +96,16 @@ class TestSelectParent:
     def test_higher_fitness_wins(self):
         pop = population(1.0, 5.0)
         rng = StubRng(choices=[[0, 1]])
-        assert search.select_parent(pop, rng) is pop[1]
+        assert search.select_parent(pop, rng, 2) is pop[1]
 
     def test_tie_goes_to_lowest_index(self):
         pop = population(3.0, 3.0, 1.0)
         rng = StubRng(choices=[[1, 0]])  # drawn out of order on purpose
-        assert search.select_parent(pop, rng) is pop[0]
+        assert search.select_parent(pop, rng, 2) is pop[0]
 
     def test_empty_population_rejected(self):
         with pytest.raises(InputError):
-            search.select_parent([], np.random.default_rng(0))
+            search.select_parent([], np.random.default_rng(0), 2)
 
     def test_tournament_capped_at_population(self):
         pop = population(2.0, 9.0)
@@ -128,14 +128,14 @@ class TestCrossover:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
-            search.crossover((1.0,), (1.0, 2.0), np.random.default_rng(0))
+            search.crossover((1.0,), (1.0, 2.0), np.random.default_rng(0), 0.9)
 
     @given(st.lists(ratio, min_size=1, max_size=10), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_child_genes_come_from_parents(self, code_a, seed):
         rng = np.random.default_rng(seed)
         code_b = tuple(rng.choice(space.RATIOS, size=len(code_a)))
-        child = search.crossover(tuple(code_a), code_b, rng)
+        child = search.crossover(tuple(code_a), code_b, rng, 0.9)
         assert all(c == a or c == b for c, a, b in zip(child, code_a, code_b))
 
 
