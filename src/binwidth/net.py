@@ -5,7 +5,9 @@ batch-norm running stats, plus `units`, which forward runs in order and
 backward in reverse. Each layer is a `_Unit`: the base class alone keeps
 a kernel's ctx, only from a train-mode forward, and hands it once to the
 backward pass, which clears it, so an eval-mode forward leaves no input
-or intermediate behind. A residual block is one `_BlockUnit`: it owns the
+or intermediate behind. In eval mode, batch norm and activation units
+write their output over an input that they own (`_Unit.owns_input`).
+A residual block is one `_BlockUnit`: it owns the
 units of its main path and of its shortcut, built by the same recursion
 over the template's items, and holds the block input as a local.
 
@@ -37,10 +39,16 @@ from .templates import BlockSpec, LayerSpec, NetworkTemplate
 class _Unit:
     """One layer step; a subclass gives `_forward(net, x, train) -> (y, ctx)`
     and `_backward(net, ctx, g) -> gx`. `forward` keeps the ctx only when
-    `train` is true; `backward` takes it, and the gradient in `slot`, once."""
+    `train` is true; `backward` takes it, and the gradient in `slot`, once.
 
-    def __init__(self, spec: LayerSpec):
+    `owns_input` is true unless the unit starts its list (the network's
+    units, or a block's main path or shortcut): then the caller or the
+    other branch still holds its input. Otherwise the unit before it made
+    the input, and in eval mode nothing else reads it."""
+
+    def __init__(self, spec: LayerSpec, owns_input: bool):
         self.spec = spec
+        self.owns_input = owns_input
         self.ctx = None
 
     def forward(self, net: "Network", x: np.ndarray, train: bool) -> np.ndarray:
@@ -52,13 +60,18 @@ class _Unit:
         ctx, self.ctx = self.ctx, None
         return self._backward(net, ctx, slot.pop())
 
+    def _in_place(self, x: np.ndarray, train: bool) -> dict:
+        """The keyword that makes an elementwise kernel write its output over
+        x: in eval mode, when the unit owns its input."""
+        return {"out": x} if self.owns_input and not train else {}
+
 
 class _WeightedUnit(_Unit):
     """A conv or fc. A binarized one binarizes its weight on every forward
     and passes the weight gradient through the straight-through estimator."""
 
-    def __init__(self, spec: LayerSpec):
-        super().__init__(spec)
+    def __init__(self, spec: LayerSpec, owns_input: bool):
+        super().__init__(spec, owns_input)
         self.key = spec.name + ".weight"
 
     def _weight(self, net: "Network") -> np.ndarray:
@@ -100,14 +113,14 @@ class _FCUnit(_WeightedUnit):
 
 
 class _BNUnit(_Unit):
-    def __init__(self, spec: LayerSpec):
-        super().__init__(spec)
+    def __init__(self, spec: LayerSpec, owns_input: bool):
+        super().__init__(spec, owns_input)
         self.gkey, self.bkey, self.mkey, self.vkey = (
             f"{spec.name}.{field}" for field in ("gamma", "beta", "running_mean", "running_var"))
 
     def _forward(self, net, x, train):
         return ops.batch_norm_forward(x, net.params[self.gkey], net.params[self.bkey],
-                                      net.buffers[self.mkey], net.buffers[self.vkey], train)
+                                      net.buffers[self.mkey], net.buffers[self.vkey], train, **self._in_place(x, train))
 
     def _backward(self, net, ctx, g):
         gx, net.grads[self.gkey], net.grads[self.bkey] = ops.batch_norm_backward(ctx, g)
@@ -116,7 +129,7 @@ class _BNUnit(_Unit):
 
 class _ActUnit(_Unit):
     def _forward(self, net, x, train):
-        return binarize_activations(x)
+        return binarize_activations(x, **self._in_place(x, train))
 
     def _backward(self, net, ctx, g):
         return ste_activation_grad(g, ctx)
@@ -142,13 +155,14 @@ _LAYER_UNITS = {"conv": _ConvUnit, "fc": _FCUnit, "bn": _BNUnit, "act": _ActUnit
 
 
 def _units(items) -> list:
-    """One unit per template item, in order; a block becomes one `_BlockUnit`."""
+    """One unit per template item, in order; a block becomes one `_BlockUnit`.
+    Every layer unit but the first owns its input."""
     units = []
     for item in items:
         if isinstance(item, BlockSpec):
             units.append(_BlockUnit(item, _units(item.main), _units(item.shortcut)))
         else:
-            units.append(_LAYER_UNITS[item.kind](item))  # the template has checked every kind
+            units.append(_LAYER_UNITS[item.kind](item, bool(units)))  # the template has checked every kind
     return units
 
 
@@ -211,6 +225,12 @@ class Network:
         return resolve_channels(self.template, self.code)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """Logits of x. A train-mode forward keeps every unit's ctx for one
+        backward pass: each conv's input, each batch norm's `xhat` and each
+        quantizer's pass mask. An eval-mode forward keeps nothing and holds
+        one unit's input and output at a time. It writes batch norm's and
+        the quantizer's output over their input unless the unit starts a
+        list: x and each block's input are left as they were."""
         if x.ndim != 4 or x.shape[1:] != self.template.input_shape:
             raise ShapeError(f"input shape {x.shape} != (N, {', '.join(map(str, self.template.input_shape))})")
         self._has_train_ctx = False

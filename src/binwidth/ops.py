@@ -23,6 +23,19 @@ Conventions
   chunk, of one channel, or not C-contiguous (`_by_batch`). Eval-mode
   batch norm normalizes into its output, allocates nothing else of the
   input's size and keeps no ctx: its backward pass is for the train-mode map.
+  Batch norm and the activation quantizer write into an `out` array when
+  they are given one, which may be their input: an eval-mode network
+  passes it when nothing else reads the input again.
+* What a pass holds. A train-mode forward keeps each kernel's ctx until
+  the backward pass takes it: a conv's input, batch norm's `xhat`, a
+  quantizer's pass mask. A conv's backward adds its whole-batch input
+  gradient and a window of weight-gradient partials, at most CHUNK_BYTES
+  per lane (one sample per lane at least), instead of every sample's; a
+  single-element weight's N partials are one window. Scratch is per lane
+  and per chunk: patch matrices and padded chunks. An eval-mode forward
+  keeps no ctx, so it holds the current unit's input and output (one
+  array when batch norm or the quantizer writes over its input) and the
+  lanes' scratch.
 * `_on_lanes` makes every chunk: each holds at most CHUNK_BYTES (one
   sample at least). An array that fits in one chunk
   runs in the calling thread; otherwise the chunk count is a multiple of
@@ -32,9 +45,10 @@ Conventions
   Chunk i goes to lane i mod k. Each chunk writes only its own slices of
   the outputs, and every sum across chunks is taken in the calling
   thread, so every bit is the same at any lane count: the conv's weight
-  gradient is one sum over per-sample partials, and batch norm's
-  per-channel sums add per-(sample, channel) row sums with `sum(axis=0)`,
-  which adds them in the order of the whole-array `sum(axis=(0, 2, 3))`.
+  gradient adds its per-sample partials in order, window by window, and
+  batch norm's per-channel sums add per-(sample, channel) row sums with
+  `sum(axis=0)`, which adds them in the order of the whole-array
+  `sum(axis=(0, 2, 3))`.
   The calling thread allocates every output and every lane's scratch
   buffer before it dispatches, so helpers allocate no full-size array
   (per-thread malloc arenas would otherwise keep the helpers' freed
@@ -58,7 +72,8 @@ from .errors import InputError, ShapeError
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 # Bytes per batch chunk of a kernel's per-sample data (a conv's patch matrix,
-# a batch norm's or quantizer's input): one core's 2 MiB L2. In the conv sweep recorded
+# a batch norm's or quantizer's input), and per lane in a conv backward's
+# window of weight-gradient partials: one core's 2 MiB L2. In the conv sweep recorded
 # in BENCH_conv.json, budgets from 128 KiB to 8 MiB ran within about 10% of
 # each other, and one whole-batch chunk ran up to 80% slower.
 CHUNK_BYTES = 2 << 20
@@ -133,6 +148,10 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _lane_count() -> int:
+    return _lanes or usable_cpus()
+
+
 def use_one_core() -> None:
     """Compute on one lane with one BLAS thread from now on: a process
     that shares the CPUs with its siblings, such as a search pool worker."""
@@ -195,7 +214,7 @@ def _on_lanes(work, n: int, sample_bytes: int, buffers=lambda size: ()) -> None:
     in the calling thread, once per lane."""
     if n == 0:
         return
-    cap = _lanes or usable_cpus()
+    cap = _lane_count()
     bounds = _chunk_bounds(n, sample_bytes, cap)
     chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     lanes = min(cap, len(chunks))
@@ -253,9 +272,15 @@ def conv2d_backward(ctx, gout: np.ndarray):
 
     Each chunk's patch matrix is rebuilt from x, padded in the lane's
     buffer as in the forward pass. The per-sample weight-gradient partials
-    fill one [N, Cout, Cin*kh*kw] buffer chunk by chunk, and a single
-    `sum(axis=0)` over it adds them as over the whole batch at once, so gw
-    keeps its bits as well.
+    fill a [rows, Cout, Cin*kh*kw] buffer one window of samples at a time.
+    The rows hold at most CHUNK_BYTES per lane, one sample per lane and a
+    carry row at least, and all N samples when they fit. A window's chunks
+    run on the lanes (a chunk's CHUNK_BYTES count each sample's partials
+    with its patch matrix), and one `sum(axis=0)` then adds its rows in
+    order. Every window after the first starts with a carry row, the sum so
+    far, so the windows continue the one sum over the whole batch, which
+    numpy takes row after row: gw keeps its bits. A single-element weight
+    always takes one window, as numpy sums its [N, 1, 1] partials pairwise.
     """
     x, w, stride, pad, hout, wout = ctx
     n, cin, h, wid = x.shape
@@ -263,20 +288,33 @@ def conv2d_backward(ctx, gout: np.ndarray):
     go = gout.reshape(n, cout, hout * wout)
     wmat_t = w.reshape(cout, -1).T
     gx_pad = np.zeros((n, cin, h + 2 * pad, wid + 2 * pad), dtype=np.result_type(gout, w))
-    parts = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gout, x))
+    part = (cout, cin * kh * kw)
+    dtype = np.result_type(gout, x)
+    lanes = _lane_count()
+    rows = n if w.size == 1 else min(n, max(lanes + 1, lanes * CHUNK_BYTES // (math.prod(part) * dtype.itemsize)))
+    parts = np.empty((rows, *part), dtype)
+    # Window bounds: the first window fills every row, each later one all rows but the carry row.
+    edges = [0, *range(rows, n, rows - 1), n] if n > rows else [0, n]
 
     def run(chunk, cols, gcols, x_pad):
-        cols = _im2col(_padded(x, chunk, pad, x_pad), kh, kw, stride, hout, wout, cols)
-        np.matmul(go[chunk], cols.transpose(0, 2, 1), out=parts[chunk])
-        gcols = np.matmul(wmat_t, go[chunk], out=gcols[: len(cols)])
-        _col2im_add(gcols, gx_pad[chunk], kh, kw, stride, hout, wout)
+        # chunk is within the window: `start` is its first sample and `carry` its carry rows (set below)
+        b = slice(start + chunk.start, start + chunk.stop)
+        cols = _im2col(_padded(x, b, pad, x_pad), kh, kw, stride, hout, wout, cols)
+        np.matmul(go[b], cols.transpose(0, 2, 1), out=parts[carry + chunk.start : carry + chunk.stop])
+        gcols = np.matmul(wmat_t, go[b], out=gcols[: len(cols)])
+        _col2im_add(gcols, gx_pad[b], kh, kw, stride, hout, wout)
 
     patch = (cin * kh * kw, hout * wout)
-    _on_lanes(run, n, math.prod(patch) * x.itemsize,
-              lambda size: (np.empty((size, *patch), x.dtype), np.empty((size, *patch), np.result_type(w, go)),
-                            _pad_buffer(x, size, pad, 0)))
+    for start, stop in zip(edges, edges[1:]):
+        carry = int(start > 0)
+        if carry:
+            parts[0] = gw
+        _on_lanes(run, stop - start, math.prod(patch) * x.itemsize + math.prod(part) * dtype.itemsize,
+                  lambda size: (np.empty((size, *patch), x.dtype), np.empty((size, *patch), np.result_type(w, go)),
+                                _pad_buffer(x, size, pad, 0)))
+        gw = parts[: carry + stop - start].sum(axis=0)
     gx = gx_pad[:, :, pad : pad + h, pad : pad + wid]
-    return gx, parts.sum(axis=0).reshape(w.shape)
+    return gx, gw.reshape(w.shape)
 
 
 def fully_connected_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -354,6 +392,7 @@ def batch_norm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train: bool,
+    out: np.ndarray | None = None,
 ):
     """Batch normalization over batch chunks, per channel over the batch
     and every position: [N,C] features run as [N,C,1,1] planes, and the
@@ -366,6 +405,11 @@ def batch_norm_forward(
     pass; eval mode builds it with the same steps chunk by chunk in the
     output itself and keeps no ctx (None), as a network keeps none from an
     eval-mode forward.
+
+    The output is written into `out` when it is given: an array of x's
+    shape and the output's dtype, which may be x itself (each element is
+    read before it is written), so that an eval-mode forward allocates
+    nothing of the input's size.
     """
     shape, x = x.shape, _planes(x)
     n, c, h, w = x.shape
@@ -392,7 +436,12 @@ def batch_norm_forward(
         mean, var = _bn_reshape(running_mean), running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale, g, bias = (_bn_reshape(v) for v in (inv_std, gamma, beta))
-    out = np.empty_like(x, np.result_type(g, x, mean))
+    dtype = np.result_type(g, x, mean)
+    if out is None:
+        out = np.empty_like(x, dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"out is {out.dtype} {out.shape}, the output {dtype} {shape}")
+    out = _planes(out)
 
     def normalize(b, put, tmp):
         t = xhat[b] if train else np.subtract(x[b], mean, out=out[b])

@@ -123,8 +123,10 @@ def train_network(net: Network, train_set: Dataset, config: TrainConfig) -> list
 
 def accuracy(net: Network, dataset: Dataset) -> float:
     """Top-1 accuracy in percent, eval mode, unshuffled and unaugmented."""
+    if len(dataset) == 0:
+        raise InputError(f"cannot score accuracy on an empty {dataset.split} split")
     correct = 0
     for images, labels in make_batches(dataset, EVAL_BATCH_SIZE, seed=0, augment=False, shuffle=False):
         logits = net.forward(images, train=False)
         correct += int((logits.argmax(axis=1) == labels).sum())
-    return 100.0 * correct / dataset.images.shape[0]
+    return 100.0 * correct / len(dataset)

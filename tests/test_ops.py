@@ -278,6 +278,102 @@ class TestConv:
             proc.kill()
 
 
+def one_sum_conv2d_backward(ctx, gout):
+    """conv2d_backward as it was before the weight-gradient windows: every
+    sample's partials in one [N, Cout, Cin*kh*kw] buffer and one sum."""
+    x, w, stride, pad, hout, wout = ctx
+    n, cin, h, wid = x.shape
+    cout, _, kh, kw = w.shape
+    go = gout.reshape(n, cout, hout * wout)
+    wmat_t = w.reshape(cout, -1).T
+    gx_pad = np.zeros((n, cin, h + 2 * pad, wid + 2 * pad), dtype=np.result_type(gout, w))
+    parts = np.empty((n, cout, cin * kh * kw), dtype=np.result_type(gout, x))
+
+    def run(chunk, cols, gcols, x_pad):
+        cols = ops._im2col(ops._padded(x, chunk, pad, x_pad), kh, kw, stride, hout, wout, cols)
+        np.matmul(go[chunk], cols.transpose(0, 2, 1), out=parts[chunk])
+        gcols = np.matmul(wmat_t, go[chunk], out=gcols[: len(cols)])
+        ops._col2im_add(gcols, gx_pad[chunk], kh, kw, stride, hout, wout)
+
+    patch = (cin * kh * kw, hout * wout)
+    ops._on_lanes(run, n, np.prod(patch) * x.itemsize,
+                  lambda size: (np.empty((size, *patch), x.dtype), np.empty((size, *patch), np.result_type(w, go)),
+                                ops._pad_buffer(x, size, pad, 0)))
+    return gx_pad[:, :, pad : pad + h, pad : pad + wid], parts.sum(axis=0).reshape(w.shape)
+
+
+def count_windows(monkeypatch):
+    """A list that gains one entry per `_on_lanes` call: conv2d_backward makes one per window."""
+    calls = []
+    on_lanes = ops._on_lanes
+
+    def counted(*args):
+        calls.append(args)
+        return on_lanes(*args)
+
+    monkeypatch.setattr(ops, "_on_lanes", counted)
+    return calls
+
+
+# Weights of one to four elements, whose [N, Cout, Cin] partials are
+# narrowest, and a 3x3 weight.
+WINDOW_WEIGHTS = [(1, 1, 1, 1), (2, 1, 1, 1), (1, 3, 1, 1), (4, 1, 1, 1), (2, 2, 1, 1), (6, 4, 3, 3)]
+
+
+class TestConvWeightGradientWindows:
+    """conv2d_backward's partials in windows of samples under a byte bound,
+    bit for bit against the one-sum body they replaced."""
+
+    @pytest.mark.parametrize("shape", WINDOW_WEIGHTS, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_two_and_many_windows_match_the_one_sum(self, shape, stride, pad, dtype, monkeypatch):
+        rng = np.random.default_rng(sum(shape) + 10 * stride + pad)
+        w = rng.standard_normal(shape).astype(dtype)
+        part = w.size * np.dtype(dtype).itemsize
+        calls = count_windows(monkeypatch)
+        for n in (0, 1, 2, 35):
+            x = rng.standard_normal((n, shape[1], 7, 7)).astype(dtype)
+            x[:, :, 0] = -0.0  # signed zeros in the partials
+            hout = (7 + 2 * pad - shape[2]) // stride + 1
+            gout = rng.standard_normal((n, shape[0], hout, hout)).astype(dtype)
+            for lanes in LANE_COUNTS:
+                monkeypatch.setattr(ops, "_lanes", lanes)
+                monkeypatch.setattr(ops, "CHUNK_BYTES", CHUNK_BUDGETS[1])
+                ctx = ops.conv2d_forward(x, w, stride, pad)[1]
+                want = one_sum_conv2d_backward(ctx, gout)
+                # Budgets of one window; of two (18 rows: 18 samples, then a
+                # carry row and 17); and of lanes + 1 rows (lanes + 1 samples,
+                # then a carry row and one sample per lane in each window). A
+                # single-element weight always takes one window.
+                many = -(-(n - 1) // lanes) if n > lanes + 1 else 1
+                for budget, windows in ((CHUNK_BUDGETS[1], 1), (-(-18 * part // lanes), 2 if n > 18 else 1), (1, many)):
+                    monkeypatch.setattr(ops, "CHUNK_BYTES", budget)
+                    calls.clear()
+                    got = ops.conv2d_backward(ctx, gout)
+                    assert len(calls) == (1 if w.size == 1 else windows)
+                    for g, exp in zip(got, want, strict=True):
+                        assert_same_bits(g, exp)
+
+    @pytest.mark.parametrize("lanes,measured_mb", [(1, 4.90), (2, 7.90), (3, 10.52)])
+    def test_the_partials_stay_within_the_window(self, lanes, measured_mb, monkeypatch):
+        # resnet_mini's s3b1_conv2 at 4x and batch 70: 41.3 MB of partials,
+        # 0.59 MB per sample. The one-sum body peaked at 47.7, 51.0 and
+        # 54.8 MB at 1, 2 and 3 lanes; the windows (3, 7 and 10 rows) peak
+        # at the measured values. The bound is 1.2 times the measurement.
+        monkeypatch.setattr(ops, "_lanes", lanes)
+        x = rand((70, 64, 8, 8), 46, np.float32)
+        w = rand((256, 64, 3, 3), 47, np.float32)
+        out, ctx = ops.conv2d_forward(x, w, 1, 1)
+        tracemalloc.start()
+        try:
+            ops.conv2d_backward(ctx, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * measured_mb * 1e6
+
+
 class TestFullyConnected:
     def test_forward_is_affine(self):
         x, w, b = rand((4, 6), 8), rand((6, 3), 9), rand((3,), 10)
@@ -363,6 +459,13 @@ class TestBatchNorm:
         assert out.dtype == np.float32
         assert peak < 1.1 * out.nbytes
 
+    @pytest.mark.parametrize("out", [np.zeros((2, 3, 4, 4), np.float64), np.zeros((2, 3, 16), np.float32)],
+                             ids=["dtype", "shape"])
+    def test_an_output_of_another_dtype_or_shape_is_rejected(self, out):
+        ones, zeros = np.ones(3, np.float32), np.zeros(3, np.float32)
+        with pytest.raises(ShapeError):
+            ops.batch_norm_forward(np.zeros((2, 3, 4, 4), np.float32), ones, zeros, zeros.copy(), ones.copy(), False, out=out)
+
     def test_param_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             ops.batch_norm_forward(rand((2, 3, 4, 4), 0), np.ones(2), np.zeros(3), np.zeros(3), np.ones(3), True)
@@ -411,6 +514,11 @@ class TestBatchNorm:
                         got = (y, *grads, rm_got, rv_got)
                         for g, exp in zip(got, want, strict=True):
                             assert_same_bits(g, exp)
+                        if not train:  # written over (a copy of) x, as an eval-mode network does
+                            over = x.copy(order="K")  # channels-last stays channels-last
+                            y = ops.batch_norm_forward(over, gamma, beta, rm.copy(), rv.copy(), train, out=over)[0]
+                            assert np.shares_memory(y, over)
+                            assert_same_bits(over, want[0])
 
 
 class TestMaxPool:

@@ -110,6 +110,23 @@ class TestBinarizeActivations:
         assert pass_mask.dtype == np.bool_ and np.array_equal(pass_mask, (x >= 0) & (x <= 1))
 
 
+class TestPassMaskAndOutput:
+    """The pass mask is taken as (x >= 0) & (x <= 1) before the values are
+    written, so that they may be written over x (checked on lanes below)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_mask_equals_clip_leaving_x_as_it_is(self, dtype):
+        edges = [v for c in (0.0, 0.5, 1.0) for v in (np.nextafter(dtype(c), dtype(-1)), dtype(c), np.nextafter(dtype(c), dtype(2)))]
+        x = np.array([*edges, -0.0, np.inf, -np.inf, np.nan, -np.nan, 3.0, -3.0], dtype=dtype)
+        x = np.concatenate([x, np.random.default_rng(8).standard_normal(200).astype(dtype) * 0.7 + 0.5])
+        assert np.array_equal(quant.binarize_activations(x)[1], np.clip(x, 0, 1) == x)
+
+    @pytest.mark.parametrize("out", [np.zeros((2, 3), np.float64), np.zeros((3, 2), np.float32)], ids=["dtype", "shape"])
+    def test_an_output_of_another_dtype_or_shape_is_rejected(self, out):
+        with pytest.raises(ShapeError):
+            quant.binarize_activations(np.zeros((2, 3), np.float32), out=out)
+
+
 class TestSteGradients:
     def test_weight_ste_is_identity(self):
         up = np.arange(6.0).reshape(2, 3)
@@ -143,8 +160,9 @@ CHUNK_BUDGETS = (1, ops.CHUNK_BYTES)
 
 
 class TestActivationQuantizerOnLanes:
-    """binarize_activations and ste_activation_grad, at every lane count and
-    chunk budget, bit for bit against the plain formulas."""
+    """binarize_activations, also writing over its input, and
+    ste_activation_grad, at every lane count and chunk budget, bit for bit
+    against the plain formulas."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(7, 5), (12, 3, 10, 10), (35, 16, 32, 32)])
@@ -166,6 +184,10 @@ class TestActivationQuantizerOnLanes:
                 got_values, got_mask = quant.binarize_activations(x)
                 assert got_values.dtype == dtype and np.array_equal(got_values.view(bits), values.view(bits))
                 assert np.array_equal(got_mask, mask)
+                y = x.copy()
+                over_y, over_y_mask = quant.binarize_activations(y, out=y)
+                assert over_y is y and np.array_equal(y.view(bits), values.view(bits))
+                assert np.array_equal(over_y_mask, mask)
                 got = quant.ste_activation_grad(up, got_mask)
                 assert got.dtype == dtype and np.array_equal(got.view(bits), grad.view(bits))
 

@@ -194,3 +194,9 @@ class TestAccuracy:
         net = mini_net(seed=8)
         acc = train.accuracy(net, tiny_dataset(n=50))
         assert 0.0 <= acc <= 100.0
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_an_empty_split_is_refused_by_name(self, split):
+        empty = Dataset(np.zeros((0, 1, 28, 28), np.float32), np.zeros(0, np.int64), class_count=10, split=split)
+        with pytest.raises(InputError, match=f"empty {split} split"):
+            train.accuracy(mini_net(), empty)
